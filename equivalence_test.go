@@ -11,6 +11,10 @@ package dyndbscan_test
 // its event stream validated (internal/evcheck) and reconciled against the
 // snapshot's live cluster set.
 //
+// Every check also holds the single-shard reference against the static
+// DBSCAN oracle over the live points (checkStaticOracle): the modes agreeing
+// with each other cannot reveal a defect they all share.
+//
 // On failure the harness shrinks the op stream (bounded greedy chunk
 // removal, replaying from scratch) and prints the seed plus the minimal op
 // log so the exact stream can be replayed.
@@ -20,6 +24,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -154,6 +159,88 @@ func enginesIsomorphic(a, b *dyndbscan.Engine, aName, bName string) error {
 	return nil
 }
 
+// checkStaticOracle holds e's clustering against StaticDBSCAN over the live
+// points at Rho = 0: the core points of each static cluster share one engine
+// group and no two static clusters share a group, every border point sits
+// only in groups of core points within eps, and the noise is identical.
+func checkStaticOracle(e *dyndbscan.Engine, pts map[dyndbscan.PointID]dyndbscan.Point, eps float64, minPts int) error {
+	ids := make([]dyndbscan.PointID, 0, len(pts))
+	for id := range pts {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	coords := make([]dyndbscan.Point, len(ids))
+	for i, id := range ids {
+		coords[i] = pts[id]
+	}
+	sc := dyndbscan.StaticDBSCAN(coords, 2, eps, minPts)
+	res, err := e.GroupAll()
+	if err != nil {
+		return fmt.Errorf("static oracle: GroupAll: %w", err)
+	}
+	groupsOf := make(map[dyndbscan.PointID][]int)
+	for g, members := range res.Groups {
+		for _, id := range members {
+			groupsOf[id] = append(groupsOf[id], g)
+		}
+	}
+	// Core points: static cluster -> the one engine group holding its cores.
+	image := make(map[int]int, sc.NumClust)
+	owner := make(map[int]int, sc.NumClust)
+	for i, id := range ids {
+		if !sc.Core[i] {
+			continue
+		}
+		gs := groupsOf[id]
+		if len(gs) != 1 {
+			return fmt.Errorf("static oracle: core point %d sits in %d groups, want 1", id, len(gs))
+		}
+		c := sc.Clusters[i][0]
+		if g, ok := image[c]; ok && g != gs[0] {
+			return fmt.Errorf("static oracle: static cluster %d is split across groups %d and %d", c, g, gs[0])
+		}
+		if o, ok := owner[gs[0]]; ok && o != c {
+			return fmt.Errorf("static oracle: group %d joins static clusters %d and %d", gs[0], o, c)
+		}
+		image[c], owner[gs[0]] = gs[0], c
+	}
+	// Border points: each group must be the image of a cluster of a core
+	// point within eps; noise must match exactly.
+	var noise []dyndbscan.PointID
+	for i, id := range ids {
+		if sc.Core[i] {
+			continue
+		}
+		if sc.IsNoise(i) {
+			noise = append(noise, id)
+			continue
+		}
+		gs := groupsOf[id]
+		if len(gs) == 0 {
+			return fmt.Errorf("static oracle: border point %d is noise in the engine", id)
+		}
+		for _, g := range gs {
+			near := false
+			for _, c := range sc.Clusters[i] {
+				if image[c] == g {
+					near = true
+					break
+				}
+			}
+			if !near {
+				return fmt.Errorf("static oracle: border point %d sits in group %d, which holds no core point within eps", id, g)
+			}
+		}
+	}
+	if len(res.Groups) != sc.NumClust {
+		return fmt.Errorf("static oracle: %d groups, static DBSCAN has %d clusters", len(res.Groups), sc.NumClust)
+	}
+	if !(len(noise) == 0 && len(res.Noise) == 0) && !reflect.DeepEqual(noise, res.Noise) {
+		return fmt.Errorf("static oracle: noise mismatch:\nengine: %v\nstatic: %v", res.Noise, noise)
+	}
+	return nil
+}
+
 // runEqStream replays ops through the three modes and returns an error
 // naming the first checkpoint at which any invariant broke.
 func runEqStream(cfg eqConfig, ops []eqOp) (err error) {
@@ -271,6 +358,7 @@ func runEqStream(cfg eqConfig, ops []eqOp) (err error) {
 	}
 
 	var live []dyndbscan.PointID
+	pts := make(map[dyndbscan.PointID]dyndbscan.Point)
 	commits, moves := 0, 0
 	checkpoint := func(stage string) error {
 		sub.Sync()
@@ -278,6 +366,9 @@ func runEqStream(cfg eqConfig, ops []eqOp) (err error) {
 			return fmt.Errorf("%s: event stream invalid: %w", stage, err)
 		}
 		val.Commit(sub.Version())
+		if err := checkStaticOracle(ref, pts, cfg.eps, cfg.minPts); err != nil {
+			return fmt.Errorf("%s: single vs static DBSCAN: %w", stage, err)
+		}
 		if err := enginesIsomorphic(ref, plain, "single", "sharded"); err != nil {
 			return fmt.Errorf("%s: single vs sharded: %w", stage, err)
 		}
@@ -405,12 +496,14 @@ func runEqStream(cfg eqConfig, ops []eqOp) (err error) {
 		for i, op := range batch {
 			if op.Kind == dyndbscan.OpInsert {
 				live = append(live, outRef[i])
+				pts[outRef[i]] = op.Pt
 			}
 		}
 		if len(targets) > 0 {
 			dead := make(map[dyndbscan.PointID]struct{}, len(targets))
 			for _, id := range targets {
 				dead[id] = struct{}{}
+				delete(pts, id)
 			}
 			w := 0
 			for _, id := range live {

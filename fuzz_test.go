@@ -4,7 +4,8 @@ package dyndbscan_test
 // insert/delete op streams that run through the shared cross-mode harness on
 // a 2-shard engine with Rho = 0, compared against the single-shard reference
 // (plus a subscribed engine whose seam structure is audited and whose event
-// stream is validated). CI runs a short -fuzztime smoke over the checked-in
+// stream is validated), and the reference itself against the static DBSCAN
+// oracle. CI runs a short -fuzztime smoke over the checked-in
 // corpus; `go test -fuzz FuzzCrossShardEquivalence .` explores further.
 
 import (
