@@ -1,10 +1,6 @@
 package dyndbscan
 
-import (
-	"fmt"
-
-	"dyndbscan/internal/core"
-)
+import "fmt"
 
 // OpKind discriminates the operations an Apply batch can carry.
 type OpKind uint8
@@ -91,76 +87,40 @@ func (e *Engine) Apply(ops []Op) ([]PointID, error) {
 			return nil, fmt.Errorf("dyndbscan: Apply op %d: invalid kind %v", i, op.Kind)
 		}
 	}
-	if e.sh != nil {
-		return e.sh.apply(ops, inserts, insertAt)
-	}
-	staged, err := e.stageInserts(inserts, "Apply op", insertAt)
+	ss := e.sh
+	staged, err := ss.stage(inserts, "Apply op", insertAt)
 	if err != nil {
 		return nil, err
 	}
-
-	// Commit phase.
-	out := make([]PointID, len(ops))
-	e.lock()
-	for i, op := range ops {
-		if op.Kind == OpDelete && !e.c.Has(op.ID) {
-			e.failUpdate()
-			return nil, fmt.Errorf("dyndbscan: Apply op %d: %w (id %d)", i, ErrUnknownPoint, op.ID)
-		}
-	}
-	seq, werr := e.walAppendOps(ops)
-	if werr != nil {
-		e.failUpdate()
-		return nil, werr
-	}
-	var (
-		inserted []PointID
-		deleted  []PointID
-		next     int // index into staged/inserts
-	)
-	abort := func(i int, err error) ([]PointID, error) {
-		if len(inserted) > 0 || len(deleted) > 0 {
-			// Deletions first: a foreign backend that re-mints a just-freed
-			// id in the same batch then takes noteInserted's resurrect path
-			// instead of appending a duplicate.
-			e.noteDeleted(deleted)
-			e.noteInserted(inserted)
-			e.release(e.finishUpdate())
+	if ss.hs != nil {
+		if len(inserts) == len(ops) {
+			// Pure-insert batch: eligible for split-phase diversion.
+			if out, ok, err := ss.hotCommit(staged); ok {
+				return out, err
+			}
 		} else {
-			e.failUpdate()
+			targets := make([]PointID, 0, len(ops)-len(inserts))
+			for _, op := range ops {
+				if op.Kind != OpInsert {
+					targets = append(targets, op.ID)
+				}
+			}
+			ss.joinForDelete(targets)
 		}
-		return out[:i], fmt.Errorf("dyndbscan: Apply aborted at op %d: %w", i, err)
 	}
+	shOps := make([]shOp, len(ops))
+	next := 0
 	for i, op := range ops {
-		switch op.Kind {
-		case OpInsert:
-			id, err := e.commitInsert(staged, inserts, next)
+		if op.Kind == OpInsert {
+			shOps[i] = shOp{insert: true, sp: staged[next]}
 			next++
-			if err != nil {
-				return abort(i, err)
-			}
-			inserted = append(inserted, id)
-			out[i] = id
-		case OpDelete:
-			if err := e.c.Delete(op.ID); err != nil {
-				return abort(i, err)
-			}
-			deleted = append(deleted, op.ID)
-			out[i] = op.ID
+		} else {
+			shOps[i] = shOp{gid: op.ID}
 		}
 	}
-	e.noteDeleted(deleted)
-	e.noteInserted(inserted)
-	evs := e.finishUpdate()
-	if err := e.releaseLogged(seq, evs); err != nil {
-		return out, err
-	}
-	return out, nil
+	return ss.commitBatch(shOps, func(i int, id PointID) error {
+		return fmt.Errorf("dyndbscan: Apply op %d: %w (id %d)", i, ErrUnknownPoint, id)
+	}, func(i int, err error) error {
+		return fmt.Errorf("dyndbscan: Apply aborted at op %d: %w", i, err)
+	})
 }
-
-// compile-time check: the staged capability stays satisfied by the built-ins.
-var (
-	_ stagedInserter = (*core.SemiDynamic)(nil)
-	_ stagedInserter = (*core.FullyDynamic)(nil)
-	_ stagedInserter = (*core.IncDBSCAN)(nil)
-)

@@ -16,10 +16,14 @@ package dyndbscan
 // differently, so identities transfer by maximum member overlap — clients
 // keep their ClusterIDs wherever the clusters are recognizably the same.
 //
-// In single-backend mode the graft is a read-only translation layer
-// (gidRemap in persist.go) applied at the query surface; in sharded mode the
+// On a one-shard engine the graft relabels the backend's own clusters, since
+// its ids are the engine's (identity stitch); on a sharded engine the
 // stitch's keyGID table is rewritten in place, since it already is exactly
 // such a translation layer.
+//
+// One-shard engines write the single-backend payload modes (no placement
+// section), so every log a one-shard engine ever wrote restores through the
+// same path.
 
 import (
 	"encoding/binary"
@@ -34,7 +38,7 @@ import (
 
 const (
 	ckptVersion  = 1
-	ckptSingle   = 1 // single-backend payload
+	ckptSingle   = 1 // one-shard payload
 	ckptSharded  = 2 // sharded payload (adds stripe placement)
 	maxCkptItems = 1 << 31
 )
@@ -263,48 +267,7 @@ func decodeCheckpoint(b []byte) (*ckptData, error) {
 	return ck, nil
 }
 
-// checkpointPayloadSingle captures the single-backend engine's state under
-// its write lock; seq 0 means nothing was ever logged. With wantDelta the
-// capture first tries to serialize only the changes since the previous
-// checkpoint (isDelta true on success, see deltackpt.go); either way the
-// change trackers are drained, resetting the next delta's baseline.
-func (e *Engine) checkpointPayloadSingle(wantDelta bool) (seq uint64, payload []byte, isDelta bool) {
-	w := e.wal
-	e.lock()
-	defer e.unlock()
-	// LastSeq is read inside the critical section: single-backend appends
-	// happen under the same lock, so the sequence and the state agree.
-	seq = w.log.LastSeq()
-	if seq == 0 {
-		return 0, nil, false
-	}
-	d := w.takeDirty()
-	cells := w.upd.TakeDirtyUpdateCells()
-	if wantDelta && !d.full {
-		if b, ok := e.deltaPayloadSingleLocked(&d, cells); ok {
-			return seq, b, true
-		}
-	}
-	ids := e.liveIDs()
-	snap, _ := e.buildSnapshot() // built-in backends cannot fail the build
-	nextGID := w.rb.NextClusterID()
-	if r := e.remap; r != nil {
-		nextGID = r.loGlobal + (nextGID - r.loBack)
-	}
-	b := []byte{ckptVersion, ckptSingle}
-	b = encodeCheckpointCommon(b, e.cfg.Dims, w.rb.NextPointID(), nextGID, ids,
-		func(i int) Point {
-			pt, ok := w.look.PointAt(ids[i])
-			if !ok {
-				// Unreachable: ids came from the live-id cache under the lock.
-				panic(fmt.Sprintf("dyndbscan: checkpoint: live id %d has no point", ids[i]))
-			}
-			return pt
-		}, snap.Clusters)
-	return seq, b, false
-}
-
-// checkpointPayload captures the sharded engine's state. Holding worldMu
+// checkpointPayload captures the engine's state. Holding worldMu
 // exclusively quiesces every commit (appends happen inside commits), so the
 // log sequence and the shard states agree. With wantDelta the capture first
 // tries the incremental path (isDelta true on success, see deltackpt.go);
@@ -334,7 +297,7 @@ func (ss *shardSet) checkpointPayload(log *wal.Log, wantDelta bool) (seq uint64,
 	d := ss.e.wal.takeDirty()
 	dirtyCells := make([][]grid.Coord, len(ss.shards))
 	for si, sh := range ss.shards {
-		dirtyCells[si] = sh.upd.TakeDirtyUpdateCells()
+		dirtyCells[si] = sh.b.TakeDirtyUpdateCells()
 	}
 	if wantDelta && !d.full {
 		if b, ok := ss.deltaPayloadLocked(&d, dirtyCells); ok {
@@ -346,24 +309,22 @@ func (ss *shardSet) checkpointPayload(log *wal.Log, wantDelta bool) (seq uint64,
 	clusters := make(map[ClusterID][]PointID)
 	coords := make([]Point, len(ids))
 	for i, id := range ids {
-		owner := ss.routes[id].copies[0]
+		owner := ss.ownerCopy(id)
 		sh := ss.shards[owner.shard]
-		pt, ok := sh.look.PointAt(owner.local)
+		pt, ok := sh.b.PointAt(owner.local)
 		if !ok {
 			panic(fmt.Sprintf("dyndbscan: checkpoint: live id %d has no owner copy", id))
 		}
 		coords[i] = pt
-		cids, ok := sh.ext.ClusterOf(owner.local)
-		if !ok || len(cids) == 0 {
-			continue
-		}
-		out := make([]ClusterID, 0, len(cids))
-		for _, cid := range cids {
-			out = append(out, gidOf[stitchKey{owner.shard, cid}])
-		}
-		for _, g := range dedupSortedIDs(out) {
+		cids, _ := sh.b.ClusterOf(owner.local)
+		for _, g := range ss.globalCIDs(owner.shard, cids, gidOf) {
 			clusters[g] = append(clusters[g], id)
 		}
+	}
+	if ss.one {
+		b := []byte{ckptVersion, ckptSingle}
+		return seq, encodeCheckpointCommon(b, ss.cfg.Dims, ss.nextID, ss.shards[0].b.NextClusterID(), ids,
+			func(i int) Point { return coords[i] }, clusters), false
 	}
 	ss.routesMu.Lock()
 	nextPt := ss.nextID
@@ -392,74 +353,21 @@ func (e *Engine) restoreCheckpoint(ck *ckptData) error {
 	if ck.dims != e.cfg.Dims {
 		return fmt.Errorf("%w: dimensionality %d does not match the log's %d", errCorruptCkpt, ck.dims, e.cfg.Dims)
 	}
-	if e.sh != nil {
-		if ck.mode != ckptSharded {
-			return fmt.Errorf("%w: single-backend checkpoint in a sharded log", errCorruptCkpt)
-		}
-		return e.sh.restore(ck)
+	if (ck.mode == ckptSingle) != e.sh.one {
+		return fmt.Errorf("%w: checkpoint mode %d in a %d-shard log", errCorruptCkpt, ck.mode, len(e.sh.shards))
 	}
-	if ck.mode != ckptSingle {
-		return fmt.Errorf("%w: sharded checkpoint in a single-backend log", errCorruptCkpt)
-	}
-	return e.restoreSingle(ck)
+	return e.sh.restore(ck)
 }
 
-// restoreSingle re-inserts the checkpointed points with forced handles, pins
-// the counters, and installs the identity graft as the engine's gidRemap.
-func (e *Engine) restoreSingle(ck *ckptData) error {
-	w := e.wal
-	for i, id := range ck.ids {
-		w.rb.SetNextPointID(id)
-		got, err := e.c.Insert(ck.coords[i])
-		if err != nil {
-			return fmt.Errorf("dyndbscan: checkpoint restore: point %d: %w", id, err)
-		}
-		if got != id {
-			return fmt.Errorf("%w: point ids not strictly ascending (minted %d, stored %d)", errCorruptCkpt, got, id)
-		}
-	}
-	w.rb.SetNextPointID(ck.nextPt)
-	e.sortedIDs = append(e.sortedIDs[:0], ck.ids...)
-	e.idsSorted = true
-
-	// Graft the stored identities. Backend cluster ids minted from here on
-	// (≥ loBack) translate linearly into the range above every stored and
-	// freshly minted global id.
-	loBack := w.rb.NextClusterID()
-	byCID := make(map[ClusterID][]PointID)
-	for _, id := range ck.ids {
-		cids, ok := e.ext.ClusterOf(id)
-		if !ok {
-			continue
-		}
-		for _, c := range cids {
-			byCID[c] = append(byCID[c], id)
-		}
-	}
-	m, next := matchClusters(byCID, ck.clusters, ck.nextGID)
-	e.remap = &gidRemap{m: m, loBack: loBack, loGlobal: next}
-	return nil
-}
-
-// restore rebuilds the sharded engine: placement first (so routing matches
-// the checkpointed stripes), then one forced-handle commit through the
-// ordinary commit pipeline, then the stitch's keyGID table is rewritten to
-// the stored identities.
-func (ss *shardSet) restore(ck *ckptData) error {
-	// Drop the warm seam for the duration of the rebuild: the forced-handle
-	// commit below must not fold (its events describe the rebuild, not real
-	// cluster evolution), and the keyGID rewrite at the end would invalidate
-	// any seam labels minted meanwhile. The next Subscribe or checkpoint
-	// capture re-warms it through ensureSeamLocked.
-	ss.worldMu.Lock()
-	ss.seam = nil
-	ss.worldMu.Unlock()
+// restorePlacement installs a sharded checkpoint's stripe placement into
+// the still-empty engine.
+func (ss *shardSet) restorePlacement(ck *ckptData) error {
 	ss.routesMu.Lock()
+	defer ss.routesMu.Unlock()
 	ss.stripeCells = ck.stripeCells
 	ss.adaptivePending = false
 	for st, sh := range ck.assign {
 		if int(sh) >= len(ss.shards) {
-			ss.routesMu.Unlock()
 			return fmt.Errorf("%w: stripe assigned to shard %d of %d", errCorruptCkpt, sh, len(ss.shards))
 		}
 		ss.assign[st] = sh
@@ -470,7 +378,6 @@ func (ss *shardSet) restore(ck *ckptData) error {
 	n := int64(len(ss.shards))
 	for st, parts := range ck.splits {
 		if parts > ss.stripeCells {
-			ss.routesMu.Unlock()
 			return fmt.Errorf("%w: stripe split into %d parts of %d cells", errCorruptCkpt, parts, ss.stripeCells)
 		}
 		base := ss.shardOfStripe(st)
@@ -480,8 +387,28 @@ func (ss *shardSet) restore(ck *ckptData) error {
 		}
 		ss.splits[st] = &stripeSplit{parts: parts, owners: owners}
 	}
-	ss.routesMu.Unlock()
+	return nil
+}
 
+// restore rebuilds the engine: placement first (so routing matches the
+// checkpointed stripes), then one forced-handle commit through the ordinary
+// commit pipeline, then the stored identities are grafted on — onto the
+// backend itself on a one-shard engine, into the stitch's keyGID table on a
+// sharded one.
+func (ss *shardSet) restore(ck *ckptData) error {
+	// Drop the warm seam for the duration of the rebuild: the forced-handle
+	// commit below must not fold (its events describe the rebuild, not real
+	// cluster evolution), and the keyGID rewrite at the end would invalidate
+	// any seam labels minted meanwhile. The next Subscribe or checkpoint
+	// capture re-warms it through ensureSeamLocked.
+	ss.worldMu.Lock()
+	ss.seam = nil
+	ss.worldMu.Unlock()
+	if !ss.one {
+		if err := ss.restorePlacement(ck); err != nil {
+			return err
+		}
+	}
 	if len(ck.ids) > 0 {
 		ops := make([]shOp, len(ck.ids))
 		for i, id := range ck.ids {
@@ -491,7 +418,7 @@ func (ss *shardSet) restore(ck *ckptData) error {
 			}
 			ops[i] = shOp{insert: true, forceGID: true, sp: sp, gid: id}
 		}
-		if _, err := ss.commitBatch(ops, nil); err != nil {
+		if _, err := ss.commitBatch(ops, nil, nil); err != nil {
 			return err
 		}
 	}
@@ -500,31 +427,33 @@ func (ss *shardSet) restore(ck *ckptData) error {
 		ss.nextID = ck.nextPt
 	}
 	ss.routesMu.Unlock()
+	if ss.one {
+		ss.shards[0].b.SetNextPointID(ck.nextPt)
+	}
 
-	// Graft: stitch the rebuilt world (minting temporary global ids), match
-	// the temporary clusters against the stored ones, and rewrite keyGID —
-	// the stitch table is already the translation layer, so no query-time
-	// remap is needed in sharded mode.
+	// Graft: stitch the rebuilt world (minting temporary global ids) and
+	// match the temporary clusters against the stored ones.
 	ss.worldMu.Lock()
 	defer ss.worldMu.Unlock()
 	gidOf := ss.stitchLocked()
 	ids := ss.liveIDsLocked()
 	byTemp := make(map[ClusterID][]PointID)
 	for _, id := range ids {
-		owner := ss.routes[id].copies[0]
-		cids, ok := ss.shards[owner.shard].ext.ClusterOf(owner.local)
-		if !ok || len(cids) == 0 {
-			continue
-		}
-		out := make([]ClusterID, 0, len(cids))
-		for _, cid := range cids {
-			out = append(out, gidOf[stitchKey{owner.shard, cid}])
-		}
-		for _, g := range dedupSortedIDs(out) {
+		owner := ss.ownerCopy(id)
+		cids, _ := ss.shards[owner.shard].b.ClusterOf(owner.local)
+		for _, g := range ss.globalCIDs(owner.shard, cids, gidOf) {
 			byTemp[g] = append(byTemp[g], id)
 		}
 	}
 	m, next := matchClusters(byTemp, ck.clusters, ck.nextGID)
+	if ss.one {
+		// Identity stitch: the backend takes the stored identities and mints
+		// on from next, exactly as the engine that wrote the log did.
+		ss.shards[0].b.RelabelClusters(m, next)
+		return nil
+	}
+	// Rewrite keyGID — the stitch table is already the translation layer,
+	// so no query-time remap is needed.
 	// Temporary ids that never surfaced through an owned member (possible
 	// only for degenerate pure-ghost components) still need a stable, unique
 	// identity; mint in ascending temp order for determinism.
@@ -557,7 +486,7 @@ func (ss *shardSet) restore(ck *ckptData) error {
 	// scan order is unrelated to the log.
 	for _, sh := range ss.shards {
 		sh.pending = sh.pending[:0]
-		sh.tracker.TakeDirtySeamCells()
+		sh.b.TakeDirtySeamCells()
 	}
 	ss.populateSeamLocked()
 	return nil

@@ -49,7 +49,7 @@ import (
 
 // Delta payload modes; full payloads use ckptSingle/ckptSharded.
 const (
-	ckptDeltaSingle  = 3 // single-backend delta payload
+	ckptDeltaSingle  = 3 // one-shard delta payload
 	ckptDeltaSharded = 4 // sharded delta payload (adds stripe placement)
 )
 
@@ -99,8 +99,8 @@ type dirtyState struct {
 }
 
 // ckptDirty is dirtyState behind its leaf mutex. Commits record into it from
-// inside their critical sections (publish loop, seam fold, single-backend
-// note hooks), captures drain it while the world is quiesced.
+// inside their critical sections (publish loop, event fold), captures drain
+// it while the world is quiesced.
 type ckptDirty struct {
 	//dynlint:lock-level 120
 	mu sync.Mutex
@@ -137,18 +137,6 @@ func (w *walState) noteDirtyUpdates(ins, del []PointID) {
 		}
 	}
 	d.capLocked()
-}
-
-// noteDirtyEvent records one committed cluster event into the lineage.
-func (w *walState) noteDirtyEvent(ev Event) {
-	if w == nil || w.recovering {
-		return
-	}
-	d := &w.dirty
-	d.mu.Lock()
-	d.noteEventLocked(ev)
-	d.capLocked()
-	d.mu.Unlock()
 }
 
 // noteDirtyEvents records a commit's global events in commit order.
@@ -580,81 +568,9 @@ func mergeSortedIDs(a, b []PointID) []PointID {
 	return out
 }
 
-// deltaPayloadSingleLocked builds a single-backend delta payload under the
-// engine's write lock. Returns ok=false when the patch set is so large a base
-// checkpoint would be cheaper.
-func (e *Engine) deltaPayloadSingleLocked(d *dirtyState, cells []grid.Coord) ([]byte, bool) {
-	w := e.wal
-	if split := closeSplitLineage(d); len(split) > 0 {
-		w.walker.ForEachCoreCell(func(coord grid.Coord, cid ClusterID) bool {
-			g := cid
-			if r := e.remap; r != nil {
-				g = r.one(cid)
-			}
-			if _, in := split[g]; in {
-				cells = append(cells, coord)
-			}
-			return true
-		})
-	}
-	r := deltaPatchRadius(e.cfg)
-	patch := make(map[PointID][]ClusterID)
-	for _, c := range cells {
-		w.upd.ForEachPointNear(c, r, func(id PointID) bool {
-			if _, done := patch[id]; done {
-				return true
-			}
-			var gids []ClusterID
-			if cids, ok := e.ext.ClusterOf(id); ok && len(cids) > 0 {
-				gids = dedupSortedIDs(append([]ClusterID(nil), e.mapCIDs(cids)...))
-			}
-			patch[id] = gids
-			return true
-		})
-	}
-	if len(patch)*2 > e.c.Len() {
-		return nil, false
-	}
-	dl := &ckptDelta{
-		mode:   ckptDeltaSingle,
-		dims:   e.cfg.Dims,
-		nextPt: w.rb.NextPointID(),
-		merges: d.merges,
-	}
-	dl.nextGID = w.rb.NextClusterID()
-	if r := e.remap; r != nil {
-		dl.nextGID = r.loGlobal + (dl.nextGID - r.loBack)
-	}
-	dl.del = sortedIDSet(d.del)
-	for id := range d.ins {
-		if e.c.Has(id) {
-			dl.upIDs = append(dl.upIDs, id)
-		}
-	}
-	sort.Slice(dl.upIDs, func(i, j int) bool { return dl.upIDs[i] < dl.upIDs[j] })
-	dl.upCoords = make([]Point, len(dl.upIDs))
-	for i, id := range dl.upIDs {
-		pt, ok := w.look.PointAt(id)
-		if !ok {
-			panic(fmt.Sprintf("dyndbscan: delta checkpoint: live id %d has no point", id))
-		}
-		dl.upCoords[i] = pt
-	}
-	dl.patchIDs = make([]PointID, 0, len(patch))
-	for id := range patch {
-		dl.patchIDs = append(dl.patchIDs, id)
-	}
-	sort.Slice(dl.patchIDs, func(i, j int) bool { return dl.patchIDs[i] < dl.patchIDs[j] })
-	dl.patchGIDs = make([][]ClusterID, len(dl.patchIDs))
-	for i, id := range dl.patchIDs {
-		dl.patchGIDs[i] = patch[id]
-	}
-	return encodeCkptDelta(dl), true
-}
-
-// deltaPayloadLocked builds a sharded delta payload; the caller holds worldMu
-// exclusively with the seam warm, so the stitch is O(1) and the routes are
-// stable. Membership is read from owner copies only: the ghost band
+// deltaPayloadLocked builds a delta payload; the caller holds worldMu
+// exclusively with the seam warm (sharded), so the stitch is O(1) and the
+// routes are stable. Membership is read from owner copies only: the ghost band
 // guarantees the owner shard's backend recorded a dirty cell for every change
 // relevant to a point it owns, and its UpdateTracker visits only its own
 // residents, so each live point is patched from exactly one shard.
@@ -663,8 +579,8 @@ func (ss *shardSet) deltaPayloadLocked(d *dirtyState, cells [][]grid.Coord) ([]b
 	if split := closeSplitLineage(d); len(split) > 0 {
 		for si := range ss.shards {
 			sh := ss.shards[si]
-			sh.walker.ForEachCoreCell(func(coord grid.Coord, cid ClusterID) bool {
-				if g, ok := gidOf[stitchKey{int32(si), cid}]; ok {
+			sh.b.ForEachCoreCell(func(coord grid.Coord, cid ClusterID) bool {
+				for _, g := range ss.globalCIDs(int32(si), []ClusterID{cid}, gidOf) {
 					if _, in := split[g]; in {
 						cells[si] = append(cells[si], coord)
 					}
@@ -677,30 +593,25 @@ func (ss *shardSet) deltaPayloadLocked(d *dirtyState, cells [][]grid.Coord) ([]b
 	patch := make(map[PointID][]ClusterID)
 	for si, sh := range ss.shards {
 		for _, c := range cells[si] {
-			sh.upd.ForEachPointNear(c, r, func(lid PointID) bool {
-				gid, owned := sh.ownerGlobal[lid]
+			sh.b.ForEachPointNear(c, r, func(lid PointID) bool {
+				gid, owned := sh.globalOf(lid)
 				if !owned {
 					return true // ghost copy; its owner shard patches it
 				}
 				if _, done := patch[gid]; done {
 					return true
 				}
-				var gids []ClusterID
-				if cids, ok := sh.ext.ClusterOf(lid); ok && len(cids) > 0 {
-					out := make([]ClusterID, 0, len(cids))
-					for _, cid := range cids {
-						if g, ok2 := gidOf[stitchKey{int32(si), cid}]; ok2 {
-							out = append(out, g)
-						}
-					}
-					gids = dedupSortedIDs(out)
-				}
-				patch[gid] = gids
+				cids, _ := sh.b.ClusterOf(lid)
+				patch[gid] = ss.globalCIDs(int32(si), cids, gidOf)
 				return true
 			})
 		}
 	}
-	if len(patch)*2 > len(ss.routes) {
+	live := len(ss.routes)
+	if ss.one {
+		live = ss.shards[0].b.Len()
+	}
+	if len(patch)*2 > live {
 		return nil, false
 	}
 	dl := &ckptDelta{
@@ -709,17 +620,20 @@ func (ss *shardSet) deltaPayloadLocked(d *dirtyState, cells [][]grid.Coord) ([]b
 		nextGID: ss.nextGID,
 		merges:  d.merges,
 	}
+	if ss.one {
+		dl.mode, dl.nextGID = ckptDeltaSingle, ss.shards[0].b.NextClusterID()
+	}
 	dl.del = sortedIDSet(d.del)
 	for id := range d.ins {
-		if _, live := ss.routes[id]; live {
+		if ss.liveLocked(id) {
 			dl.upIDs = append(dl.upIDs, id)
 		}
 	}
 	sort.Slice(dl.upIDs, func(i, j int) bool { return dl.upIDs[i] < dl.upIDs[j] })
 	dl.upCoords = make([]Point, len(dl.upIDs))
 	for i, id := range dl.upIDs {
-		owner := ss.routes[id].copies[0]
-		pt, ok := ss.shards[owner.shard].look.PointAt(owner.local)
+		owner := ss.ownerCopy(id)
+		pt, ok := ss.shards[owner.shard].b.PointAt(owner.local)
 		if !ok {
 			panic(fmt.Sprintf("dyndbscan: delta checkpoint: live id %d has no owner copy", id))
 		}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"dyndbscan/internal/core"
-	"dyndbscan/internal/pipeline"
 )
 
 // ErrDuplicateID is wrapped by DeleteBatch (and Apply) when the same live
@@ -52,8 +51,7 @@ type extendedClusterer interface {
 
 // stagedInserter is the capability behind pipelined ingestion: a backend
 // that accepts points whose validation, cloning, and grid cell assignment
-// already happened in the parallel pre-commit phase. All built-in algorithms
-// provide it.
+// already happened in the parallel pre-commit phase.
 type stagedInserter interface {
 	InsertStaged(core.StagedPoint) (PointID, error)
 }
@@ -83,30 +81,27 @@ type stagedInserter interface {
 //     across the configured workers on the fully-dynamic algorithm.
 //   - Pipelined batch ingestion. InsertBatch and Apply stage their points
 //     (validation, coordinate conversion, grid cell assignment) across
-//     WithWorkers-many goroutines before entering the serialized commit
-//     phase that runs the actual clustering update.
+//     WithWorkers-many goroutines before entering the commit phase that
+//     runs the actual clustering update.
 //   - Async event dispatch. Each subscriber owns a buffered queue drained
-//     by its own dispatcher goroutine, so a slow callback no longer stalls
+//     by its own dispatcher goroutine, so a slow callback never stalls
 //     commits; see Subscribe for the overflow policies and Sync for a
 //     delivery barrier.
 //
-// Updates serialize behind a write lock; live-structure queries (when no
-// fresh snapshot exists) run under a read lock on AlgoFullyDynamic and
-// briefly exclusively on the other algorithms. Each successful update
+// Space is partitioned into grid-aligned stripes, each shard owning its own
+// backend behind its own lock, so updates touching disjoint shards commit
+// concurrently (WithShards; one shard by default). Each successful update
 // advances Version, invalidating the cached snapshot (an epoch scheme:
-// snapshot readers never observe a half-applied update).
-//
-// WithShards(n) lifts the single write lock: space is partitioned into
-// grid-aligned stripes, each owning its own backend behind its own lock, so
-// updates touching disjoint shards commit concurrently — with or without
-// subscribers attached (event derivation rides an incrementally maintained
-// cross-shard stitch rather than a quiesced world); see the WithShards
-// documentation for the topology and the equivalence guarantee. Stripe
-// placement is load-aware: commits feed per-stripe load accounts and hot
-// stripes migrate to underloaded shards (WithRebalance / Rebalance) without
-// disturbing handles, ClusterIDs, or the event stream.
+// snapshot readers never observe a half-applied update). On a one-shard
+// Engine a query that finds no fresh snapshot is answered by the backend
+// under the shard lock, shared between readers on AlgoFullyDynamic and
+// briefly exclusive on the other algorithms; a sharded Engine answers it
+// from the stitched cross-shard snapshot. Stripe placement is load-aware:
+// commits feed per-stripe load accounts and hot stripes migrate to
+// underloaded shards (WithRebalance / Rebalance) without disturbing
+// handles, ClusterIDs, or the event stream.
 type Engine struct {
-	threadSafe bool
+	threadSafe bool // false: events are delivered synchronously (WithThreadSafety)
 	roQueries  bool // backend GroupBy/ClusterOf are read-only (AlgoFullyDynamic)
 	algo       Algorithm
 	cfg        Config
@@ -121,47 +116,21 @@ type Engine struct {
 	//dynlint:visibility
 	snap atomic.Pointer[Snapshot]
 
-	// sh is non-nil when the Engine runs in sharded mode (WithShards(n>1)):
-	// every update and query path then routes through it, and the
-	// single-backend fields below (c, ext, staged, ...) are unused. The
-	// event fan-out state at the bottom of the struct is shared by both
-	// modes.
+	// sh holds the shards, their backends, and the routing and stitching
+	// state; every update and query path runs through it (shard.go).
 	sh *shardSet
 
 	// wal is the durability attachment (WithWAL / Open), nil otherwise; see
-	// persist.go. remap is the read-only cluster-id translation installed by
-	// single-backend checkpoint restore (always nil in sharded mode, where
-	// the stitch table plays that role).
-	wal   *walState
-	remap *gidRemap
-
-	//dynlint:lock-level 70
-	mu      sync.RWMutex
-	c       Clusterer
-	ext     extendedClusterer // nil when the backend lacks the capability
-	staged  stagedInserter    // nil when the backend lacks the capability
-	stager  core.Stager       // valid iff staged != nil
-	pending []Event           // events collected during the in-flight update
-	// evsOn mirrors "subscribers exist" for the single-backend event sink.
-	// Without a WAL the sink itself is installed and removed with the first
-	// and last subscriber; with one the sink is permanent (it feeds the delta
-	// checkpoints' merge ledger) and evsOn gates only the pending collection.
-	evsOn bool
-
-	// Sorted-id cache (guarded by mu): the ascending live-id slice that
-	// snapshot construction needs, maintained incrementally so a snapshot
-	// rebuild never re-sorts the world. Built-in backends mint monotone ids,
-	// so inserts append in order; deletions tombstone into pendingDead and
-	// one O(n) compaction pass runs at the next snapshot build.
-	sortedIDs   []PointID
-	idsSorted   bool
-	pendingDead map[PointID]struct{}
+	// persist.go.
+	wal *walState
 
 	// Event fan-out state; see events.go. Publications are ordered by
-	// tickets: pubTicket (guarded by mu) is assigned inside the update
-	// critical section, pubNext/pubCond (guarded by pubMu) admit publishers
-	// in ticket order — so per-subscriber event streams preserve commit
-	// order while no engine lock is ever held across a blocking enqueue.
+	// tickets: pubTicket is assigned inside the update critical section
+	// (takeTicket), and pubNext/pubCond admit publishers in ticket order —
+	// so per-subscriber event streams preserve commit order while no engine
+	// lock is ever held across a blocking enqueue. All three are guarded by
+	// pubMu.
+	//
 	//dynlint:visibility
 	pubTicket uint64
 	//dynlint:lock-level 80
@@ -176,7 +145,8 @@ type Engine struct {
 
 // New builds an Engine from functional options. WithEps and WithMinPts are
 // required; everything else has production defaults (AlgoFullyDynamic,
-// 2 dimensions, ρ = 0.001, thread safety on, one staging worker per CPU).
+// 2 dimensions, ρ = 0.001, one shard, thread safety on, one staging worker
+// per CPU).
 func New(opts ...Option) (*Engine, error) {
 	s := newSettings()
 	for _, opt := range opts {
@@ -185,19 +155,9 @@ func New(opts ...Option) (*Engine, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	var e *Engine
-	if s.shards > 1 {
-		var err error
-		e, err = newShardedEngine(s)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		c, err := newBackend(s.algo, s.cfg)
-		if err != nil {
-			return nil, err
-		}
-		e = newEngine(c, s.algo, s.threadSafe, s.workers)
+	e, err := newEngine(s)
+	if err != nil {
+		return nil, err
 	}
 	if s.walDir != "" {
 		if err := e.attachWAL(s, s.walDir, false); err != nil {
@@ -207,8 +167,21 @@ func New(opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-// newBackend constructs one bare clusterer for the algorithm — the factory
-// shared by the single-backend Engine and the per-shard backends.
+// newEngine builds the Engine for the settings' algorithm and shard count
+// (New and Open).
+func newEngine(s *engineSettings) (*Engine, error) {
+	backends := make([]Clusterer, s.shards)
+	for i := range backends {
+		c, err := newBackend(s.algo, s.cfg)
+		if err != nil {
+			return nil, err
+		}
+		backends[i] = c
+	}
+	return newShardedEngine(s, s.algo, backends), nil
+}
+
+// newBackend constructs one bare clusterer for the algorithm.
 func newBackend(algo Algorithm, cfg Config) (Clusterer, error) {
 	switch algo {
 	case AlgoFullyDynamic:
@@ -225,10 +198,12 @@ func newBackend(algo Algorithm, cfg Config) (Clusterer, error) {
 }
 
 // Wrap adapts an existing Clusterer — including the deprecated NewSemiDynamic /
-// NewFullyDynamic / NewIncDBSCAN values — into an Engine with thread safety
-// on. The Engine assumes exclusive ownership: mutate the clusterer only
-// through the Engine from then on. Prefer New unless you already hold a
-// clusterer.
+// NewFullyDynamic / NewIncDBSCAN values, possibly already populated — into a
+// one-shard Engine with thread safety on. The Engine assumes exclusive
+// ownership: mutate the clusterer only through the Engine from then on.
+// Prefer New unless you already hold a clusterer. A foreign implementation
+// without ClusterOf/SetEventFunc gets per-snapshot group indices as cluster
+// ids and emits no events.
 func Wrap(c Clusterer) *Engine {
 	algo := AlgoCustom
 	switch c.(type) {
@@ -239,31 +214,7 @@ func Wrap(c Clusterer) *Engine {
 	case *IncDBSCAN:
 		algo = AlgoIncDBSCAN
 	}
-	return newEngine(c, algo, true, 0)
-}
-
-func newEngine(c Clusterer, algo Algorithm, threadSafe bool, workers int) *Engine {
-	e := &Engine{
-		threadSafe:  threadSafe,
-		roQueries:   algo == AlgoFullyDynamic,
-		algo:        algo,
-		cfg:         c.Config(),
-		workers:     pipeline.Workers(workers),
-		c:           c,
-		pendingDead: make(map[PointID]struct{}),
-		subs:        make(map[int]*subscriber),
-	}
-	e.pubCond.L = &e.pubMu
-	e.ext, _ = c.(extendedClusterer)
-	if si, ok := c.(stagedInserter); ok {
-		e.staged = si
-		e.stager = core.NewStager(e.cfg)
-	}
-	// A wrapped clusterer may come pre-populated; seed the sorted-id cache.
-	e.sortedIDs = c.IDs()
-	sort.Slice(e.sortedIDs, func(i, j int) bool { return e.sortedIDs[i] < e.sortedIDs[j] })
-	e.idsSorted = true
-	return e
+	return newShardedEngine(newSettings(), algo, []Clusterer{c})
 }
 
 // Algorithm returns which algorithm the Engine runs (AlgoCustom for foreign
@@ -277,81 +228,11 @@ func (e *Engine) Config() Config { return e.cfg }
 // parallel snapshot construction.
 func (e *Engine) Workers() int { return e.workers }
 
-// Locking helpers; no-ops when thread safety is off.
-
-func (e *Engine) lock() {
-	if e.threadSafe {
-		e.mu.Lock()
-	}
-}
-
-func (e *Engine) unlock() {
-	if e.threadSafe {
-		e.mu.Unlock()
-	}
-}
-
-// qlock acquires the appropriate lock for a query against the live backend
-// and returns the matching release. Fully-dynamic backends answer queries
-// without mutating shared state, so queries share a read lock; the other
-// algorithms compress union-find paths during lookups and need exclusivity.
-func (e *Engine) qlock() func() {
-	if !e.threadSafe {
-		return func() {}
-	}
-	if e.roQueries {
-		e.mu.RLock()
-		return e.mu.RUnlock
-	}
-	e.mu.Lock()
-	return e.mu.Unlock
-}
-
-// rqlock is qlock for operations that are read-only on every backend
-// (point-table lookups).
-func (e *Engine) rqlock() func() {
-	if !e.threadSafe {
-		return func() {}
-	}
-	e.mu.RLock()
-	return e.mu.RUnlock
-}
-
-// Sorted-id cache maintenance; all three run inside the update critical
-// section.
-
-// noteInserted records freshly minted handles in the sorted-id cache (and,
-// with a WAL attached, in the delta-checkpoint change set — every
-// single-backend commit path funnels its minted handles through here).
-func (e *Engine) noteInserted(ids []PointID) {
-	e.wal.noteDirtyUpdates(ids, nil)
-	for _, id := range ids {
-		if _, dead := e.pendingDead[id]; dead {
-			// A foreign backend re-issued a tombstoned id; it is already in
-			// sortedIDs, so just resurrect it.
-			delete(e.pendingDead, id)
-			continue
-		}
-		if n := len(e.sortedIDs); n > 0 && id <= e.sortedIDs[n-1] {
-			e.idsSorted = false // foreign backend with non-monotone ids
-		}
-		e.sortedIDs = append(e.sortedIDs, id)
-	}
-}
-
-// noteDeleted tombstones removed handles; the next snapshot build compacts.
-// The WAL hook mirrors noteInserted's.
-func (e *Engine) noteDeleted(ids []PointID) {
-	e.wal.noteDirtyUpdates(nil, ids)
-	for _, id := range ids {
-		e.pendingDead[id] = struct{}{}
-	}
-}
-
 // compactLiveIDs removes tombstoned handles from ids and restores ascending
-// order lazily — the maintenance step shared by the single-backend and
-// sharded sorted-id caches.
-func compactLiveIDs(ids []PointID, dead map[PointID]struct{}, sorted *bool) []PointID {
+// order lazily, returning the compacted slice and the tombstone set to use
+// from now on: a fresh map once the old one held entries (a cleared map
+// keeps its buckets, which a burst of deletes can make large).
+func compactLiveIDs(ids []PointID, dead map[PointID]struct{}, sorted *bool) ([]PointID, map[PointID]struct{}) {
 	if len(dead) > 0 {
 		w := 0
 		for _, id := range ids {
@@ -361,95 +242,35 @@ func compactLiveIDs(ids []PointID, dead map[PointID]struct{}, sorted *bool) []Po
 			}
 		}
 		ids = ids[:w]
-		clear(dead)
+		dead = make(map[PointID]struct{})
 	}
 	if !*sorted {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		*sorted = true
 	}
-	return ids
-}
-
-// liveIDs returns the ascending live-id slice, compacting tombstones and
-// restoring sortedness lazily. Must run inside the update critical section.
-func (e *Engine) liveIDs() []PointID {
-	e.sortedIDs = compactLiveIDs(e.sortedIDs, e.pendingDead, &e.idsSorted)
-	if len(e.sortedIDs) != e.c.Len() {
-		// The backend disagrees with the cache (it was mutated behind the
-		// Engine's back); rebuild rather than serve a corrupt snapshot.
-		e.sortedIDs = e.c.IDs()
-		sort.Slice(e.sortedIDs, func(i, j int) bool { return e.sortedIDs[i] < e.sortedIDs[j] })
-	}
-	return e.sortedIDs
-}
-
-// finishUpdate commits an update inside the critical section: the version
-// advances and the events collected during the update are taken for
-// publication.
-func (e *Engine) finishUpdate() []Event {
-	e.version.Add(1)
-	evs := e.pending
-	e.pending = nil
-	return evs
-}
-
-// failUpdate abandons an in-flight update from inside the critical section:
-// no version advance, no publication — and, crucially, no residue. Events a
-// misbehaving backend emitted before the failure (for example during the
-// Has probes of batch validation) are dropped here; leaving them in
-// e.pending would smuggle them into the next successful commit's
-// publication. Every update failure path that applied no state change must
-// exit through this helper (paths that partially committed go through
-// finishUpdate + release instead, so the applied work publishes).
-func (e *Engine) failUpdate() {
-	e.pending = nil
-	e.release(nil)
-}
-
-// release ends the update critical section begun by lock(), publishing evs
-// to the subscriber queues. A publication ticket is taken while the write
-// lock is still held, and publishers enter the enqueue phase strictly in
-// ticket order — so concurrent updates cannot reorder their event streams
-// (per subscriber, events always arrive in commit order), yet no engine
-// lock is held while a BlockSubscriber enqueue waits: a backpressured
-// publisher never prevents subscriber callbacks from querying the Engine.
-func (e *Engine) release(evs []Event) {
-	if len(evs) == 0 {
-		e.unlock()
-		return
-	}
-	if !e.threadSafe {
-		// Thread safety off means the Engine is confined to one goroutine;
-		// delivery is synchronous on it (recursion-safe: a callback's own
-		// updates simply nest), keeping the confinement contract intact.
-		e.unlock()
-		e.deliverSync(evs)
-		return
-	}
-	ticket := e.pubTicket
-	e.pubTicket++
-	e.unlock()
-	e.publishOrdered(ticket, evs)
+	return ids, dead
 }
 
 // Insert adds one point and returns its handle.
 func (e *Engine) Insert(pt Point) (PointID, error) {
-	if e.sh != nil {
-		return e.sh.insert(pt)
-	}
-	e.lock()
-	seq, werr := e.walAppendInsert(pt)
-	if werr != nil {
-		e.failUpdate()
-		return 0, werr
-	}
-	id, err := e.c.Insert(pt)
+	ss := e.sh
+	sp, err := ss.stager.Stage(pt)
 	if err != nil {
-		e.failUpdate()
-		return id, err
+		return 0, err
 	}
-	e.noteInserted([]PointID{id})
-	return id, e.releaseLogged(seq, e.finishUpdate())
+	if ss.hs != nil {
+		if out, ok, err := ss.hotCommit([]core.StagedPoint{sp}); ok {
+			if err != nil {
+				return 0, err
+			}
+			return out[0], nil
+		}
+	}
+	out, err := ss.commitBatch([]shOp{{insert: true, sp: sp}}, nil, nil)
+	if err != nil {
+		return 0, err
+	}
+	return out[0], nil
 }
 
 // InsertBatch adds many points under one commit, validating and staging
@@ -457,152 +278,76 @@ func (e *Engine) Insert(pt Point) (PointID, error) {
 // — before the first insertion, so a malformed point fails the batch cleanly
 // (no state change, ErrBadPoint with the offending index).
 func (e *Engine) InsertBatch(pts []Point) ([]PointID, error) {
-	if e.sh != nil {
-		return e.sh.insertBatch(pts)
-	}
-	staged, err := e.stageInserts(pts, "InsertBatch point", nil)
+	ss := e.sh
+	staged, err := ss.stage(pts, "InsertBatch point", nil)
 	if err != nil {
 		return nil, err
 	}
 	if len(pts) == 0 {
 		return nil, nil
 	}
-	ids := make([]PointID, 0, len(pts))
-	e.lock()
-	seq, werr := e.walAppendInsertBatch(pts)
-	if werr != nil {
-		e.failUpdate()
-		return nil, werr
-	}
-	for i := range pts {
-		id, err := e.commitInsert(staged, pts, i)
-		if err != nil {
-			// Unreachable for the built-in algorithms (points were staged),
-			// possible for foreign backends: commit the partial work, if
-			// any, and report where the batch stopped.
-			if i > 0 {
-				e.noteInserted(ids)
-				e.release(e.finishUpdate())
-			} else {
-				e.failUpdate()
-			}
-			return ids, fmt.Errorf("dyndbscan: InsertBatch aborted at point %d: %w", i, err)
+	if ss.hs != nil {
+		if out, ok, err := ss.hotCommit(staged); ok {
+			return out, err
 		}
-		ids = append(ids, id)
 	}
-	e.noteInserted(ids)
-	evs := e.finishUpdate()
-	if err := e.releaseLogged(seq, evs); err != nil {
-		return ids, err
+	ops := make([]shOp, len(staged))
+	for i, sp := range staged {
+		ops[i] = shOp{insert: true, sp: sp}
 	}
-	return ids, nil
-}
-
-// stageInserts runs the pre-commit phase of a batch insertion: validation
-// plus, when the backend supports staged insertion, coordinate cloning and
-// grid cell assignment, fanned out across the engine's workers. The returned
-// slice is nil when the backend lacks the capability (validation still ran).
-// Errors name the failing element as "<what> <index>"; idx, when non-nil,
-// remaps element positions to caller indices (Apply's op positions).
-func (e *Engine) stageInserts(pts []Point, what string, idx []int) ([]core.StagedPoint, error) {
-	at := func(i int) int {
-		if idx != nil {
-			return idx[i]
-		}
-		return i
-	}
-	if e.staged == nil {
-		for i, pt := range pts {
-			if err := core.CheckPoint(pt, e.cfg.Dims); err != nil {
-				return nil, fmt.Errorf("dyndbscan: %s %d: %w", what, at(i), err)
-			}
-		}
-		return nil, nil
-	}
-	staged, err := pipeline.Map(e.workers, pts, func(i int, pt Point) (core.StagedPoint, error) {
-		sp, err := e.stager.Stage(pt)
-		if err != nil {
-			return core.StagedPoint{}, fmt.Errorf("dyndbscan: %s %d: %w", what, at(i), err)
-		}
-		return sp, nil
+	return ss.commitBatch(ops, nil, func(i int, err error) error {
+		return fmt.Errorf("dyndbscan: InsertBatch aborted at point %d: %w", i, err)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return staged, nil
-}
-
-// commitInsert performs the commit-phase insertion of batch element i.
-func (e *Engine) commitInsert(staged []core.StagedPoint, pts []Point, i int) (PointID, error) {
-	if staged != nil {
-		return e.staged.InsertStaged(staged[i])
-	}
-	return e.c.Insert(pts[i])
 }
 
 // Delete removes one point.
 func (e *Engine) Delete(id PointID) error {
-	if e.sh != nil {
-		return e.sh.delete(id)
+	ss := e.sh
+	if e.algo == AlgoSemiDynamic {
+		return ErrDeletesUnsupported
 	}
-	e.lock()
-	seq, werr := e.walAppendDelete(id)
-	if werr != nil {
-		e.failUpdate()
-		return werr
-	}
-	if err := e.c.Delete(id); err != nil {
-		e.failUpdate()
-		return err
-	}
-	e.noteDeleted([]PointID{id})
-	return e.releaseLogged(seq, e.finishUpdate())
+	ss.joinForDelete([]PointID{id})
+	_, err := ss.commitBatch([]shOp{{gid: id}}, func(int, PointID) error {
+		return ErrUnknownPoint
+	}, nil)
+	return err
 }
 
 // DeleteBatch removes many points under one commit. The whole batch is
 // validated first: an unknown or duplicated id fails the batch with
 // ErrUnknownPoint / ErrDuplicateID before any point is removed.
 func (e *Engine) DeleteBatch(ids []PointID) error {
-	if e.sh != nil {
-		return e.sh.deleteBatch(ids)
-	}
+	ss := e.sh
 	if len(ids) == 0 {
 		return nil
 	}
-	e.lock()
+	ss.joinForDelete(ids)
+	// Validation in ascending index order, a duplicate before existence.
 	seen := make(map[PointID]struct{}, len(ids))
 	for i, id := range ids {
 		if _, dup := seen[id]; dup {
-			e.failUpdate()
 			return fmt.Errorf("dyndbscan: DeleteBatch id %d duplicated at index %d: %w", id, i, ErrDuplicateID)
 		}
 		seen[id] = struct{}{}
-		if !e.c.Has(id) {
-			e.failUpdate()
+		if !ss.has(id) {
 			return fmt.Errorf("dyndbscan: DeleteBatch index %d: %w (id %d)", i, ErrUnknownPoint, id)
 		}
 	}
-	seq, werr := e.walAppendDeleteBatch(ids)
-	if werr != nil {
-		e.failUpdate()
-		return werr
+	if e.algo == AlgoSemiDynamic {
+		// The insertion-only backend rejects the first delete; no state has
+		// changed at that point.
+		return fmt.Errorf("dyndbscan: DeleteBatch aborted at index 0: %w", ErrDeletesUnsupported)
 	}
+	ops := make([]shOp, len(ids))
 	for i, id := range ids {
-		if err := e.c.Delete(id); err != nil {
-			// Only reachable on a backend that rejects deletes (semi-dynamic
-			// via Wrap) or other foreign failures; ids were validated above.
-			if i > 0 {
-				e.noteDeleted(ids[:i])
-				e.release(e.finishUpdate())
-			} else {
-				e.failUpdate()
-			}
-			return fmt.Errorf("dyndbscan: DeleteBatch aborted at index %d: %w", i, err)
-		}
+		ops[i] = shOp{gid: id}
 	}
-	e.noteDeleted(ids)
-	evs := e.finishUpdate()
-	return e.releaseLogged(seq, evs)
+	_, err := ss.commitBatch(ops, func(i int, id PointID) error {
+		return fmt.Errorf("dyndbscan: DeleteBatch index %d: %w (id %d)", i, ErrUnknownPoint, id)
+	}, func(i int, err error) error {
+		return fmt.Errorf("dyndbscan: DeleteBatch aborted at index %d: %w", i, err)
+	})
+	return err
 }
 
 // currentSnapshot returns the published snapshot when it matches the current
@@ -616,85 +361,74 @@ func (e *Engine) currentSnapshot() *Snapshot {
 	return nil
 }
 
-// GroupBy answers a C-group-by query over the given handles. Served from the
-// cached snapshot — without locking — when one exists for the current
-// version, else from the live structure.
-func (e *Engine) GroupBy(q []PointID) (Result, error) {
-	if e.sh != nil && e.sh.stagedVisible() {
-		// Clustering queries are hotspot join triggers: staged inserts do not
-		// advance the version, so the cached snapshot must not answer for
-		// them — reconcile first (which does advance it). See hotspot.go.
+// freshSnapshot returns the published snapshot when it is current, after
+// folding staged hotspot inserts: a clustering query is a join trigger, and
+// staged inserts do not advance the version, so the cached snapshot must not
+// answer for them until they reconcile (which does advance it).
+func (e *Engine) freshSnapshot() *Snapshot {
+	if e.sh.stagedVisible() {
 		e.sh.joinAll(joinQuery)
 	}
-	if s := e.currentSnapshot(); s != nil {
+	return e.currentSnapshot()
+}
+
+// GroupBy answers a C-group-by query over the given handles. Served from the
+// cached snapshot — without locking — when one exists for the current
+// version, else from the live structure (one shard) or the stitched snapshot
+// (sharded).
+func (e *Engine) GroupBy(q []PointID) (Result, error) {
+	if s := e.freshSnapshot(); s != nil {
 		return s.GroupBy(q)
 	}
-	if e.sh != nil {
-		// Sharded reads are snapshot-served: the stitched snapshot is the
-		// consistent cross-shard view.
-		return e.Snapshot().GroupBy(q)
+	if e.sh.one {
+		sh, unlock := e.sh.queryShard(e.roQueries)
+		defer unlock()
+		return sh.b.GroupBy(q)
 	}
-	defer e.qlock()()
-	return e.c.GroupBy(q)
+	return e.Snapshot().GroupBy(q)
 }
 
 // GroupAll returns the full current clustering (the degenerate C-group-by
 // query with Q = P), computed atomically with respect to updates.
 func (e *Engine) GroupAll() (Result, error) {
-	if e.sh != nil && e.sh.stagedVisible() {
-		e.sh.joinAll(joinQuery)
-	}
-	if s := e.currentSnapshot(); s != nil {
+	if s := e.freshSnapshot(); s != nil {
 		return s.GroupAll(), nil
 	}
-	if e.sh != nil {
-		return e.Snapshot().GroupAll(), nil
+	if e.sh.one {
+		sh, unlock := e.sh.queryShard(e.roQueries)
+		defer unlock()
+		return GroupAll(sh.b)
 	}
-	defer e.qlock()()
-	return GroupAll(e.c)
+	return e.Snapshot().GroupAll(), nil
 }
 
 // Len returns the number of points currently stored.
 func (e *Engine) Len() int {
-	if e.sh != nil && e.sh.stagedVisible() {
-		// Staged hotspot inserts are live handles but absent from the cached
-		// snapshot (they have not advanced the version); count the staged-
-		// aware route tables instead.
-		return e.sh.len()
+	// Staged hotspot inserts are live handles but absent from the cached
+	// snapshot (they have not advanced the version); the staged-aware route
+	// tables count them.
+	if !e.sh.stagedVisible() {
+		if s := e.currentSnapshot(); s != nil {
+			return len(s.byPoint)
+		}
 	}
-	if s := e.currentSnapshot(); s != nil {
-		return len(s.byPoint)
-	}
-	if e.sh != nil {
-		return e.sh.len()
-	}
-	defer e.rqlock()()
-	return e.c.Len()
+	return e.sh.len()
 }
 
 // IDs returns every live handle.
 func (e *Engine) IDs() []PointID {
-	if e.sh != nil {
-		return e.sh.ids()
-	}
-	defer e.rqlock()()
-	return e.c.IDs()
+	return e.sh.ids()
 }
 
 // Has reports whether the handle is live.
 func (e *Engine) Has(id PointID) bool {
-	if e.sh != nil && e.sh.stagedVisible() {
-		return e.sh.has(id)
+	if !e.sh.stagedVisible() {
+		if s := e.currentSnapshot(); s != nil {
+			_, ok := s.byPoint[id]
+			return ok
+		}
 	}
-	if s := e.currentSnapshot(); s != nil {
-		_, ok := s.byPoint[id]
-		return ok
-	}
-	if e.sh != nil {
-		return e.sh.has(id)
-	}
-	defer e.rqlock()()
-	return e.c.Has(id)
+	return e.sh.has(id)
 }
 
 // Version returns the Engine's epoch: it starts at 0 and advances by one on
@@ -710,16 +444,13 @@ func (e *Engine) Version() uint64 {
 // whether the point is live. Served lock-free from the cached snapshot when
 // fresh, else from the live structure.
 func (e *Engine) ClusterOf(id PointID) ([]ClusterID, bool) {
-	if e.sh != nil && e.sh.stagedVisible() {
-		e.sh.joinAll(joinQuery)
-	}
-	if s := e.currentSnapshot(); s != nil {
+	if s := e.freshSnapshot(); s != nil {
 		return s.ClusterOf(id)
 	}
-	if e.sh == nil && e.ext != nil {
-		defer e.qlock()()
-		cids, ok := e.ext.ClusterOf(id)
-		return e.mapCIDs(cids), ok
+	if e.sh.one && !e.sh.groupIDs {
+		sh, unlock := e.sh.queryShard(e.roQueries)
+		defer unlock()
+		return sh.b.ClusterOf(id)
 	}
 	return e.Snapshot().ClusterOf(id)
 }
@@ -736,88 +467,10 @@ func (e *Engine) Members(id ClusterID) []PointID {
 // that epoch is lock-free, so the amortized cost under a read-heavy load is
 // one full-clustering pass per epoch — and zero lock traffic between epochs.
 func (e *Engine) Snapshot() *Snapshot {
-	if e.sh != nil && e.sh.stagedVisible() {
-		e.sh.joinAll(joinQuery)
-	}
-	if s := e.currentSnapshot(); s != nil {
+	if s := e.freshSnapshot(); s != nil {
 		return s
 	}
-	if e.sh != nil {
-		return e.sh.snapshot()
-	}
-	e.lock()
-	if s := e.currentSnapshot(); s != nil {
-		e.unlock()
-		return s
-	}
-	// Holding the update lock across the build is the snapshot contract:
-	// the view must be a frozen cut. The blocking inside is buildSnapshot's
-	// bounded worker fan-out join; the workers only read the backend and
-	// take no engine locks, so the join cannot deadlock — it just makes
-	// writers wait behind a reader, which is the point.
-	//
-	//dynlint:ignore holdblock snapshot build quiesces writers by design; worker join is bounded and lock-free
-	s, ok := e.buildSnapshot()
-	if ok {
-		// Only a fully built snapshot is published: a foreign backend that
-		// failed mid-build yields a best-effort view to this caller alone,
-		// never an epoch-long lock-free source of wrong answers.
-		e.snap.Store(s)
-	}
-	e.unlock()
-	return s
-}
-
-// parallelSnapshotMin is the live-point count below which snapshot
-// construction stays serial: forking workers costs more than the walk.
-const parallelSnapshotMin = 2048
-
-// buildSnapshot computes the full clustering inside the update critical
-// section. On backends with read-only queries the per-point cluster
-// resolution fans out across the engine's workers. ok is false when a
-// foreign backend failed mid-build and the snapshot is incomplete.
-func (e *Engine) buildSnapshot() (_ *Snapshot, ok bool) {
-	s := &Snapshot{
-		Version:  e.version.Load(),
-		Clusters: make(map[ClusterID][]PointID),
-		byPoint:  make(map[PointID][]ClusterID, e.c.Len()),
-	}
-	ids := e.liveIDs()
-	if e.ext != nil {
-		workers := 1
-		if e.roQueries && e.workers > 1 && len(ids) >= parallelSnapshotMin {
-			workers = e.workers
-		}
-		resolve := e.ext.ClusterOf
-		if e.remap != nil {
-			resolve = func(id PointID) ([]ClusterID, bool) {
-				cids, ok := e.ext.ClusterOf(id)
-				return e.mapCIDs(cids), ok
-			}
-		}
-		resolveMembers(s, ids, workers, resolve)
-		return s, true
-	}
-	// Degraded path for foreign backends: cluster ids are the group indices
-	// of this snapshot only. The backend gets a copy of the id slice — the
-	// Clusterer contract does not forbid reordering or retaining q, and the
-	// original is the engine's long-lived sorted-id cache.
-	res, err := e.c.GroupBy(append([]PointID(nil), ids...))
-	if err != nil {
-		return s, false // misbehaving foreign backend; do not publish
-	}
-	for g, members := range res.Groups {
-		cid := ClusterID(g)
-		s.Clusters[cid] = append(s.Clusters[cid], members...)
-		for _, id := range members {
-			s.byPoint[id] = append(s.byPoint[id], cid)
-		}
-	}
-	for _, id := range res.Noise {
-		s.byPoint[id] = nil
-	}
-	s.Noise = res.Noise
-	return s, true
+	return e.sh.snapshot()
 }
 
 // resolveMembers fills s with the memberships of ids (which must be

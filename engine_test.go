@@ -689,3 +689,45 @@ func TestWrap(t *testing.T) {
 		t.Fatal("snapshot through Wrap wrong")
 	}
 }
+
+// TestSortedIDCacheBounded churns a sliding window with a GroupBy after each
+// round — a read stream that never builds a snapshot or a checkpoint, the
+// two readers that compact the sorted-id cache — and checks the cache's
+// tombstones still compact: it never holds more than twice the live handles.
+func TestSortedIDCacheBounded(t *testing.T) {
+	const live, batch, rounds = 20000, 512, 200
+	e, err := dyndbscan.New(dyndbscan.WithEps(1), dyndbscan.WithMinPts(5), dyndbscan.WithRho(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	point := func() dyndbscan.Point { return dyndbscan.Point{rng.Float64() * 150, rng.Float64() * 150} }
+	pts := make([]dyndbscan.Point, live)
+	for i := range pts {
+		pts[i] = point()
+	}
+	window, err := e.InsertBatch(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < rounds; r++ {
+		ops := make([]dyndbscan.Op, 0, 2*batch)
+		for i := 0; i < batch; i++ {
+			ops = append(ops, dyndbscan.InsertOp(point()), dyndbscan.DeleteOp(window[i]))
+		}
+		out, err := e.Apply(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		window = window[batch:]
+		for i := 0; i < len(out); i += 2 {
+			window = append(window, out[i])
+		}
+		if _, err := e.GroupBy(window[:10]); err != nil {
+			t.Fatal(err)
+		}
+		if n := e.SortedIDCacheLen(); n > 2*e.Len() {
+			t.Fatalf("round %d: sorted-id cache holds %d handles for %d live points", r, n, e.Len())
+		}
+	}
+}

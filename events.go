@@ -160,9 +160,6 @@ func (e *Engine) selfFeedLocked() bool {
 // stops delivery, discards this subscription's undelivered events, and does
 // not wait for an in-flight callback (call Sync first for a clean drain).
 func (e *Engine) Subscribe(fn func(Event), opts ...SubscribeOption) (cancel func()) {
-	if e.ext == nil && e.sh == nil {
-		return func() {}
-	}
 	st := subSettings{buffer: DefaultEventBuffer, overflow: BlockSubscriber}
 	for _, opt := range opts {
 		opt(&st)
@@ -182,7 +179,7 @@ func (e *Engine) Subscribe(fn func(Event), opts ...SubscribeOption) (cancel func
 	if sub.q != nil {
 		go sub.run()
 	}
-	e.syncEventFunc()
+	e.sh.syncEvents()
 	return func() {
 		e.subMu.Lock()
 		_, present := e.subs[id]
@@ -192,7 +189,7 @@ func (e *Engine) Subscribe(fn func(Event), opts ...SubscribeOption) (cancel func
 			if sub.q != nil {
 				sub.q.Close()
 			}
-			e.syncEventFunc()
+			e.sh.syncEvents()
 		}
 	}
 }
@@ -223,14 +220,12 @@ func (e *Engine) Close() error {
 		}
 	}
 	if len(subs) > 0 {
-		e.syncEventFunc()
+		e.sh.syncEvents()
 	}
-	if e.sh != nil {
-		// Drain staged hotspot deltas before the log seals: every acked
-		// insert gets its reconcile commit (and WAL record) now, so a clean
-		// shutdown loses nothing.
-		e.sh.drainStaged()
-	}
+	// Drain staged hotspot deltas before the log seals: every acked insert
+	// gets its reconcile commit (and WAL record) now, so a clean shutdown
+	// loses nothing.
+	e.sh.drainStaged()
 	return e.wal.closeWAL(e)
 }
 
@@ -244,37 +239,32 @@ func (e *Engine) deliverSync(evs []Event) {
 	}
 }
 
-// syncEventFunc reconciles the backend's event sink with the current
-// subscriber count: collection is enabled lazily so an Engine with no
-// subscribers pays nothing for the event machinery. It re-reads the count
-// under the write lock, so racing Subscribe/cancel pairs always converge on
-// the state matching the surviving registrations (whichever reconciliation
-// runs last sees every completed membership change).
-func (e *Engine) syncEventFunc() {
-	if e.sh != nil {
-		e.sh.syncEvents()
+// takeTicket assigns the next publication ticket. Commits call it inside
+// their critical section, so tickets follow commit order and Sync's horizon
+// read covers every commit that finished before it.
+func (e *Engine) takeTicket() uint64 {
+	e.pubMu.Lock()
+	t := e.pubTicket
+	// Tickets order in-process event publication; they are not durable
+	// state. The WAL logs the data ops a publication describes, and after
+	// recovery the counter restarts with no subscribers attached, so an
+	// unlogged increment cannot be observed across a crash.
+	//
+	//dynlint:ignore logvisible publication tickets are transient ordering state, not recovered from the WAL
+	e.pubTicket++
+	e.pubMu.Unlock()
+	return t
+}
+
+// publish delivers a commit's events after its critical section released:
+// synchronously on the updater's goroutine when thread safety is off (no
+// ticket was taken), else through the ticket-ordered subscriber queues.
+func (e *Engine) publish(ticket uint64, evs []Event) {
+	if !e.threadSafe {
+		e.deliverSync(evs)
 		return
 	}
-	e.lock()
-	e.subMu.Lock()
-	want := len(e.subs) > 0
-	e.subMu.Unlock()
-	e.evsOn = want
-	if !want {
-		e.pending = nil
-	}
-	// With a WAL the sink is permanent (installed by attachWAL; it feeds the
-	// delta checkpoints' merge ledger) and gates publication on evsOn itself;
-	// only the no-WAL engine installs and removes the sink lazily so a
-	// subscriber-less engine pays nothing for the event machinery.
-	if e.wal == nil {
-		if want {
-			e.ext.SetEventFunc(func(ev Event) { e.pending = append(e.pending, e.mapEvent(ev)) })
-		} else {
-			e.ext.SetEventFunc(nil)
-		}
-	}
-	e.unlock()
+	e.publishOrdered(ticket, evs)
 }
 
 // publishOrdered enqueues evs to every current subscriber, admitting
@@ -332,22 +322,18 @@ func (e *Engine) subscribers() []*subscriber {
 // point, not for the queues to be empty. Sync must not be called from
 // inside a subscriber callback.
 func (e *Engine) Sync() {
-	if e.sh != nil {
-		// Sync is a hotspot join trigger: staged inserts reconcile (and
-		// publish their events) before the delivery barrier is measured.
-		// The barrier join waits out an in-flight fold — an advisory join
-		// could return while deltas staged before this call are still
-		// pending, because the fold snapshotted its stripes before them.
-		e.sh.joinAllWait(joinSync)
-	}
+	// Sync is a hotspot join trigger: staged inserts reconcile (and publish
+	// their events) before the delivery barrier is measured. The barrier
+	// join waits out an in-flight fold — an advisory join could return while
+	// deltas staged before this call are still pending, because the fold
+	// snapshotted its stripes before them.
+	e.sh.joinAllWait(joinSync)
 	// Every update that committed before this point took its publication
 	// ticket inside its critical section; wait for all issued tickets to
 	// finish enqueueing, then for each subscriber to settle everything
 	// enqueued up to that instant.
-	release := e.rqlock()
-	horizon := e.pubTicket
-	release()
 	e.pubMu.Lock()
+	horizon := e.pubTicket
 	for e.pubNext < horizon {
 		e.pubCond.Wait()
 	}

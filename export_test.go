@@ -4,15 +4,12 @@ package dyndbscan
 
 // SeamAudit cross-checks the sharded engine's incrementally maintained seam
 // structure against a fresh recomputation from the live backends, under a
-// quiesced world. It returns nil on a single-backend engine or while no
-// subscribers keep the seam live — there is nothing incremental to audit
+// quiesced world. It returns nil while the seam is cold (always on a
+// one-shard engine, which has none) — there is nothing incremental to audit
 // then. Tests (the randomized cross-mode equivalence harness in particular)
 // call it at every checkpoint: any divergence between the folded deltas and
 // the ground truth is reported at the first commit that introduced it.
 func (e *Engine) SeamAudit() error {
-	if e.sh == nil {
-		return nil
-	}
 	ss := e.sh
 	ss.worldMu.Lock()
 	defer ss.worldMu.Unlock()
@@ -60,7 +57,7 @@ func (e *Engine) Restitches() uint64 {
 // StagedOps reports how many acknowledged inserts currently sit in hotspot
 // staging buffers, awaiting reconciliation.
 func (e *Engine) StagedOps() int64 {
-	if e.sh == nil || e.sh.hs == nil {
+	if e.sh.hs == nil {
 		return 0
 	}
 	return e.sh.hs.stagedTotal.Load()
@@ -94,4 +91,13 @@ func (e *Engine) HoldReconcile() (release func()) {
 	hs := e.sh.hs
 	hs.reconcileMu.Lock()
 	return hs.reconcileMu.Unlock
+}
+
+// SortedIDCacheLen reports the length of the sorted live-handle cache,
+// tombstones included — the observable of its compaction bound.
+func (e *Engine) SortedIDCacheLen() int {
+	ss := e.sh
+	ss.routesMu.Lock()
+	defer ss.routesMu.Unlock()
+	return len(ss.sortedIDs)
 }

@@ -305,7 +305,7 @@ type HotspotStats struct {
 // HotspotStats returns the current counters of the contention-adaptive
 // commit path; Enabled is false on engines without WithHotspot.
 func (e *Engine) HotspotStats() HotspotStats {
-	if e.sh == nil || e.sh.hs == nil {
+	if e.sh.hs == nil {
 		return HotspotStats{}
 	}
 	hs := e.sh.hs
@@ -538,7 +538,7 @@ func (ss *shardSet) reconcileStripe(t int64, cause string) {
 	// reject staged pre-validated inserts. The NoCkpt variant is required
 	// here — reconcileMu is held, and the checkpoint cadence would take a
 	// blocking join on it.
-	if _, err := ss.commitBatchNoCkpt(ops, nil); err != nil {
+	if _, err := ss.commitBatchNoCkpt(ops, nil, nil); err != nil {
 		panic(fmt.Sprintf("dyndbscan: reconcile fold failed on an append-free commit: %v", err))
 	}
 
@@ -585,7 +585,7 @@ func (ss *shardSet) hotCommit(sps []core.StagedPoint) (out []PointID, ok bool, e
 	// handle is ever returned ahead of its durability.
 	werr := ss.e.wal.finish(walSeq)
 	if len(rest) > 0 {
-		_, err = ss.commitBatch(rest, nil)
+		_, err = ss.commitBatch(rest, nil, nil)
 	} else {
 		// Fully diverted batches never reach commitBatch, whose epilogue
 		// normally runs the deferred hotspot and checkpoint work; run it

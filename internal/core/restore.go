@@ -28,3 +28,37 @@ func (b *base) SetNextClusterID(n ClusterID) {
 		b.nextCluster = n
 	}
 }
+
+// RelabelClusters renames live clusters through m (a cluster absent from m
+// keeps its id) and pins the next cluster identity to next, which may lie
+// below the current counter: the restore path of a one-shard engine grafts
+// the stored identities onto the rebuilt backend, and no live id is at or
+// above next afterwards. Emits no events.
+func (f *FullyDynamic) RelabelClusters(m map[ClusterID]ClusterID, next ClusterID) {
+	for _, c := range f.cellOfVertex {
+		if g, ok := m[c.cluster]; ok {
+			c.cluster = g
+		}
+	}
+	f.nextCluster = next
+}
+
+// RelabelClusters is FullyDynamic.RelabelClusters for SemiDynamic.
+func (s *SemiDynamic) RelabelClusters(m map[ClusterID]ClusterID, next ClusterID) {
+	relabelRoots(s.rootCluster, m)
+	s.nextCluster = next
+}
+
+// RelabelClusters is FullyDynamic.RelabelClusters for IncDBSCAN.
+func (ic *IncDBSCAN) RelabelClusters(m map[ClusterID]ClusterID, next ClusterID) {
+	relabelRoots(ic.rootCluster, m)
+	ic.nextCluster = next
+}
+
+func relabelRoots(roots map[int]ClusterID, m map[ClusterID]ClusterID) {
+	for r, id := range roots {
+		if g, ok := m[id]; ok {
+			roots[r] = g
+		}
+	}
+}

@@ -64,7 +64,7 @@ type engineSettings struct {
 	cfgExplicit  bool // WithConfig was used: Config.Validate owns the errors
 	threadSafe   bool
 	workers      int             // staging/snapshot workers; 0 = one per CPU
-	shards       int             // spatial shards; 1 = single-backend mode
+	shards       int             // spatial shards (default 1)
 	stripeCells  int             // shard stripe width in grid cells; 0 = adaptive
 	rebalance    RebalancePolicy // shard rebalancing policy (see WithRebalance)
 	rebalanceSet bool
@@ -124,13 +124,15 @@ func WithDims(d int) Option {
 	return func(s *engineSettings) { s.cfg.Dims = d }
 }
 
-// WithThreadSafety toggles the Engine's internal locking (default on). Turn
-// it off only when the Engine is confined to one goroutine and the ~2%
-// uncontended-lock overhead matters. With it off, Subscribe delivers events
-// synchronously on the updater's goroutine instead of spawning a dispatcher.
-// Note the parallel phases (batch staging, snapshot construction) still use
+// WithThreadSafety(false) declares that the Engine is confined to one
+// goroutine: Subscribe then delivers events synchronously on the updater's
+// goroutine instead of spawning a dispatcher per subscription (default on:
+// asynchronous delivery, every method safe for concurrent use). The engine's
+// locks are taken either way; uncontended they cost next to nothing. Note
+// the parallel phases (batch staging, snapshot construction) still use
 // short-lived worker goroutines internally unless WithWorkers(1) is set;
-// they never touch the Engine concurrently with the caller.
+// they never touch the Engine concurrently with the caller. Requires one
+// shard: combining it with WithShards(n>1) is an error.
 func WithThreadSafety(on bool) Option {
 	return func(s *engineSettings) { s.threadSafe = on }
 }
@@ -152,8 +154,7 @@ func WithWorkers(n int) Option {
 // WithShards partitions space into n grid-aligned shards, each owning its
 // own clustering backend behind its own lock, so updates touching disjoint
 // shards commit concurrently — write throughput then scales with cores on
-// spatially spread workloads. n = 1 (the default) is the single-backend mode
-// and behaves bit-for-bit as before.
+// spatially spread workloads. n = 1 is the default.
 //
 // Sharding partitions the grid into stripes along dimension 0, assigned to
 // the shards through a versioned table — round-robin at first, adjusted by
@@ -161,10 +162,15 @@ func WithWorkers(n int) Option {
 // additionally replicates a narrow ghost band of neighboring points so that
 // core statuses and seam edges are computed from complete neighborhoods, and
 // snapshot construction stitches the per-shard clusterings back together
-// across shard boundaries. With
-// Rho = 0 the stitched result is exactly the single-shard clustering (up to
-// the stable-id naming); with Rho > 0 both are legal ρ-approximate
-// clusterings that may resolve don't-care-band points differently.
+// across shard boundaries. With Rho = 0 the stitched result is exactly the
+// one-shard clustering (up to the stable-id naming); with Rho > 0 both are
+// legal ρ-approximate clusterings that may resolve don't-care-band points
+// differently.
+//
+// With one shard none of that machinery runs: there is no ghost band, no
+// stitch and no migration, point handles and ClusterIDs are the backend's
+// own, and a query that finds no fresh snapshot is answered by the backend
+// directly instead of by a stitched snapshot.
 //
 // Commit parallelism is independent of Subscribe: with subscribers attached,
 // each commit derives its global cluster events by folding its own seam

@@ -5,8 +5,7 @@ package dyndbscan
 //
 // One WAL record is written per commit — the batch's operations in commit
 // order, appended inside the same critical section that orders the commit
-// (under e.mu in single-backend mode; under routesMu, while the shard locks
-// are held, in sharded mode). That makes the log's record order agree with
+// (under routesMu, while the shard locks are held). That makes the log's record order agree with
 // handle-mint order and with every shard's apply order, which is the whole
 // durability argument: the engines are deterministic functions of their op
 // streams (inserts re-mint identical handles, cluster identities evolve
@@ -33,7 +32,6 @@ package dyndbscan
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -164,14 +162,14 @@ func (s *engineSettings) validateWAL() error {
 	return nil
 }
 
-// restorableBackend is the capability checkpoint restore requires of a
-// backend: reading and pinning the id-mint counters. All built-in algorithms
-// provide it through the shared core base.
+// restorableBackend is the capability checkpoint capture and restore
+// require of a one-shard engine's backend, whose ids are the engine's:
+// reading and pinning the id-mint counters and grafting stored cluster
+// identities. All built-in algorithms provide it.
 type restorableBackend interface {
-	NextPointID() core.PointID
 	SetNextPointID(core.PointID)
 	NextClusterID() core.ClusterID
-	SetNextClusterID(core.ClusterID)
+	RelabelClusters(m map[core.ClusterID]core.ClusterID, next core.ClusterID)
 }
 
 // walState is the Engine's durability attachment.
@@ -186,13 +184,6 @@ type walState struct {
 	// dirty accumulates the inter-checkpoint change set the delta capture
 	// serializes.
 	dirty ckptDirty
-
-	// Single-backend restore/checkpoint capabilities (nil in sharded mode,
-	// where the shards carry their own).
-	rb     restorableBackend
-	look   core.PointLookup
-	upd    core.UpdateTracker
-	walker core.CoreCellWalker
 
 	// recovering suppresses appends while Open replays the log through the
 	// ordinary Apply pipeline. Written only before the Engine escapes Open.
@@ -246,112 +237,6 @@ func (e *Engine) logging() bool {
 	return e.wal != nil && !e.wal.recovering
 }
 
-// WAL append helpers for the single-backend update paths. Each returns
-// (0, nil) when no record should be written; a non-nil error aborts the
-// commit before any state change.
-
-// walAppendInsert validates and logs one insertion. Validation runs here —
-// before the append — because the record must only exist for ops that will
-// succeed: the built-in backends cannot fail a pre-validated insert.
-func (e *Engine) walAppendInsert(pt Point) (uint64, error) {
-	if !e.logging() {
-		return 0, nil
-	}
-	if err := core.CheckPoint(pt, e.cfg.Dims); err != nil {
-		return 0, err
-	}
-	return e.wal.append([]wal.Op{{Kind: wal.OpInsert, Coord: pt[:e.cfg.Dims]}})
-}
-
-// walAppendInsertBatch logs a staged (already validated) insert batch.
-func (e *Engine) walAppendInsertBatch(pts []Point) (uint64, error) {
-	if !e.logging() {
-		return 0, nil
-	}
-	ops := make([]wal.Op, len(pts))
-	for i, pt := range pts {
-		ops[i] = wal.Op{Kind: wal.OpInsert, Coord: pt[:e.cfg.Dims]}
-	}
-	return e.wal.append(ops)
-}
-
-// walAppendDelete logs one deletion iff it is certain to succeed; a doomed
-// delete (unsupported algorithm, unknown handle) writes nothing and lets the
-// backend report its usual error.
-func (e *Engine) walAppendDelete(id PointID) (uint64, error) {
-	if !e.logging() || e.algo == AlgoSemiDynamic || !e.c.Has(id) {
-		return 0, nil
-	}
-	return e.wal.append([]wal.Op{{Kind: wal.OpDelete, ID: int64(id)}})
-}
-
-// walAppendDeleteBatch logs a validated delete batch. On AlgoSemiDynamic the
-// batch is doomed (the backend rejects the first delete before any state
-// change) so nothing is logged.
-func (e *Engine) walAppendDeleteBatch(ids []PointID) (uint64, error) {
-	if !e.logging() || e.algo == AlgoSemiDynamic {
-		return 0, nil
-	}
-	ops := make([]wal.Op, len(ids))
-	for i, id := range ids {
-		ops[i] = wal.Op{Kind: wal.OpDelete, ID: int64(id)}
-	}
-	return e.wal.append(ops)
-}
-
-// walAppendOps logs a validated Apply batch (inserts staged, deletes
-// existence-checked, semi-dynamic deletes already rejected).
-func (e *Engine) walAppendOps(ops []Op) (uint64, error) {
-	if !e.logging() {
-		return 0, nil
-	}
-	wops := make([]wal.Op, len(ops))
-	for i, op := range ops {
-		if op.Kind == OpInsert {
-			wops[i] = wal.Op{Kind: wal.OpInsert, Coord: op.Pt[:e.cfg.Dims]}
-		} else {
-			wops[i] = wal.Op{Kind: wal.OpDelete, ID: int64(op.ID)}
-		}
-	}
-	return e.wal.append(wops)
-}
-
-// releaseLogged is release for commits that may have logged a record: it
-// ends the critical section, makes the record durable per the policy, then
-// publishes the events — records hit the log (and, under SyncAlways, the
-// disk) strictly before the commit's events or return value are observable.
-// The returned error reports a durability failure; the in-memory state has
-// already advanced when it is non-nil, and the log is poisoned, so every
-// later update will fail cleanly.
-func (e *Engine) releaseLogged(seq uint64, evs []Event) error {
-	if e.wal == nil || seq == 0 {
-		e.release(evs)
-		return nil
-	}
-	if !e.threadSafe {
-		e.unlock()
-		err := e.wal.finish(seq)
-		if len(evs) > 0 {
-			e.deliverSync(evs)
-		}
-		e.maybeCheckpoint()
-		return err
-	}
-	var ticket uint64
-	pub := len(evs) > 0
-	if pub {
-		ticket = e.pubTicket
-		e.pubTicket++
-	}
-	e.unlock()
-	err := e.wal.finish(seq)
-	if pub {
-		e.publishOrdered(ticket, evs)
-	}
-	e.maybeCheckpoint()
-	return err
-}
-
 // maybeCheckpoint runs an automatic checkpoint when the commit counter
 // passed the cadence; at most one runs at a time (CAS), on the committing
 // goroutine, holding no engine lock on entry. Failures are deliberately
@@ -384,7 +269,7 @@ func (e *Engine) Checkpoint() error {
 	if w == nil {
 		return ErrNoWAL
 	}
-	if ss := e.sh; ss != nil && ss.hs != nil {
+	if ss := e.sh; ss.hs != nil {
 		// Checkpoint is a hotspot join trigger: staged deltas fold first, so
 		// the checkpoint never covers an acked insert that is in neither the
 		// payload nor the records after it. Two pieces make that airtight:
@@ -427,11 +312,7 @@ func (e *Engine) Checkpoint() error {
 		payload []byte
 		isDelta bool
 	)
-	if e.sh != nil {
-		seq, payload, isDelta = e.sh.checkpointPayload(w.log, wantDelta)
-	} else {
-		seq, payload, isDelta = e.checkpointPayloadSingle(wantDelta)
-	}
+	seq, payload, isDelta = e.sh.checkpointPayload(w.log, wantDelta)
 	if seq == 0 {
 		return nil
 	}
@@ -499,31 +380,11 @@ func (e *Engine) WALStats() WALStats {
 	}
 }
 
-// newWALState builds the engine's durability attachment after checking the
-// backend provides the restore capabilities (all built-in algorithms do;
-// foreign Wrap backends may not).
-func (e *Engine) newWALState() (*walState, error) {
-	if e.sh == nil {
-		rb, okRB := e.c.(restorableBackend)
-		look, okLook := e.c.(core.PointLookup)
-		upd, okUpd := e.c.(core.UpdateTracker)
-		walker, okWalk := e.c.(core.CoreCellWalker)
-		if !okRB || !okLook || !okUpd || !okWalk || e.ext == nil || e.staged == nil {
-			return nil, fmt.Errorf("dyndbscan: algorithm %v lacks the persistence capabilities", e.algo)
-		}
-		return &walState{rb: rb, look: look, upd: upd, walker: walker}, nil
-	}
-	return &walState{}, nil
-}
-
 // attachWAL wires a walState to a freshly constructed Engine. doRecover
 // selects the Open semantics: the log must exist, its checkpoint is
 // restored, and its records replay through Apply before the Engine escapes.
 func (e *Engine) attachWAL(s *engineSettings, dir string, doRecover bool) error {
-	w, err := e.newWALState()
-	if err != nil {
-		return err
-	}
+	w := &walState{}
 	e.wal = w
 	w.policy = s.walPolicy.normalize()
 	w.ckptEvery = defaultCheckpointEvery
@@ -580,22 +441,9 @@ func (e *Engine) attachWAL(s *engineSettings, dir string, doRecover bool) error 
 	w.recovering = false
 	// Arm the delta-checkpoint change trackers now that recovery (if any) is
 	// behind us: dirty cells in the backends, the handle/lineage accumulator
-	// through the commit paths. The single-backend event sink is permanent —
-	// the merge ledger must see every commit whether or not subscribers exist
-	// (sharded mode's per-shard sinks are permanent from construction).
-	if ss := e.sh; ss != nil {
-		for _, sh := range ss.shards {
-			sh.upd.SetUpdateTracking(true)
-		}
-	} else {
-		w.upd.SetUpdateTracking(true)
-		e.ext.SetEventFunc(func(ev Event) {
-			ev = e.mapEvent(ev)
-			w.noteDirtyEvent(ev)
-			if e.evsOn {
-				e.pending = append(e.pending, ev)
-			}
-		})
+	// through the commit paths.
+	for _, sh := range e.sh.shards {
+		sh.b.SetUpdateTracking(true)
 	}
 	if doRecover {
 		// The restore re-inserted the world outside the trackers' sight; the
@@ -662,6 +510,12 @@ func (w *walState) closeWAL(e *Engine) error {
 // stripe migration they describe, everything else goes through the ordinary
 // Apply pipeline. Shared by recovery (Open) and replica tailing.
 func (e *Engine) applyWALRecord(wops []wal.Op) error {
+	if len(wops) == 1 && e.sh.one {
+		switch wops[0].Kind {
+		case wal.OpAssign, wal.OpSplit, wal.OpWidth:
+			return fmt.Errorf("dyndbscan: wal: placement record in a one-shard log")
+		}
+	}
 	if len(wops) == 1 {
 		switch wops[0].Kind {
 		case wal.OpAssign:
@@ -695,9 +549,6 @@ func (e *Engine) applyWALRecord(wops []wal.Op) error {
 // shardSet.rebalance).
 func (e *Engine) applyAssign(stripe, dst int64) error {
 	ss := e.sh
-	if ss == nil {
-		return fmt.Errorf("dyndbscan: wal: placement record in a single-backend log")
-	}
 	if dst < 0 || int(dst) >= len(ss.shards) {
 		return fmt.Errorf("dyndbscan: wal: placement record targets shard %d of %d", dst, len(ss.shards))
 	}
@@ -726,9 +577,6 @@ func (e *Engine) applyAssign(stripe, dst int64) error {
 // replay reproduces the writer's placement table exactly.
 func (e *Engine) applySplit(stripe, parts int64) error {
 	ss := e.sh
-	if ss == nil {
-		return fmt.Errorf("dyndbscan: wal: placement record in a single-backend log")
-	}
 	if parts < 2 || parts > ss.stripeCells {
 		return fmt.Errorf("dyndbscan: wal: split record with %d parts", parts)
 	}
@@ -752,9 +600,6 @@ func (e *Engine) applySplit(stripe, parts int64) error {
 // stitch's cluster-id minting — matches the writer's.
 func (e *Engine) applyWidth(width int64) error {
 	ss := e.sh
-	if ss == nil {
-		return fmt.Errorf("dyndbscan: wal: placement record in a single-backend log")
-	}
 	if width <= ss.bandCells {
 		return fmt.Errorf("dyndbscan: wal: width record of %d cells is inside the %d-cell ghost band", width, ss.bandCells)
 	}
@@ -782,8 +627,8 @@ func (e *Engine) applyWidth(width int64) error {
 // verbatim and pins the mint counter past them.
 func (e *Engine) applyExplicit(wops []wal.Op) error {
 	ss := e.sh
-	if ss == nil {
-		return fmt.Errorf("dyndbscan: wal: explicit-handle record in a single-backend log")
+	if ss.one {
+		return fmt.Errorf("dyndbscan: wal: explicit-handle record in a one-shard log")
 	}
 	shOps := make([]shOp, len(wops))
 	var next PointID
@@ -813,7 +658,7 @@ func (e *Engine) applyExplicit(wops []wal.Op) error {
 	}
 	if _, err := ss.commitBatch(shOps, func(i int, id PointID) error {
 		return fmt.Errorf("dyndbscan: wal: replayed delete targets unknown handle %d", id)
-	}); err != nil {
+	}, nil); err != nil {
 		return err
 	}
 	ss.routesMu.Lock()
@@ -894,18 +739,9 @@ func engineFromLog(dir string, opts []Option) (*Engine, *engineSettings, error) 
 	if err := s.validate(); err != nil {
 		return nil, nil, err
 	}
-	var e *Engine
-	if s.shards > 1 {
-		e, err = newShardedEngine(s)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		c, err := newBackend(s.algo, s.cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		e = newEngine(c, s.algo, s.threadSafe, s.workers)
+	e, err := newEngine(s)
+	if err != nil {
+		return nil, nil, err
 	}
 	return e, s, nil
 }
@@ -954,70 +790,4 @@ func decodeEngineMeta(b []byte) (engineMeta, error) {
 		return mc, fmt.Errorf("dyndbscan: engine meta names unknown algorithm %d", mc.algo)
 	}
 	return mc, nil
-}
-
-// gidRemap translates backend cluster ids to the global ids clients saw
-// before a restart. Built once during single-backend checkpoint restore and
-// read-only afterwards, so the lock-free snapshot path can apply it from any
-// goroutine. Backend ids minted after the restore (≥ loBack) map linearly
-// into a fresh range above every restored id; ids from the rebuild map
-// through m to the stored identity they matched.
-type gidRemap struct {
-	m        map[ClusterID]ClusterID
-	loBack   ClusterID
-	loGlobal ClusterID
-}
-
-func (r *gidRemap) one(c ClusterID) ClusterID {
-	if c >= r.loBack {
-		return c - r.loBack + r.loGlobal
-	}
-	if g, ok := r.m[c]; ok {
-		return g
-	}
-	// Unreachable: every backend cluster live at restore time is in m, and
-	// dead ones are never referenced again (no subscribers exist during
-	// restore to have observed them).
-	return c
-}
-
-// mapCIDs translates a backend ClusterOf answer through the restore remap;
-// the identity when no restore happened.
-func (e *Engine) mapCIDs(cids []ClusterID) []ClusterID {
-	r := e.remap
-	if r == nil || len(cids) == 0 {
-		return cids
-	}
-	out := make([]ClusterID, len(cids))
-	for i, c := range cids {
-		out[i] = r.one(c)
-	}
-	if len(out) > 1 {
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	}
-	return out
-}
-
-// mapEvent translates the cluster identities an event carries. Point fields
-// are handles, never remapped; Cluster is only meaningful on cluster events.
-func (e *Engine) mapEvent(ev Event) Event {
-	r := e.remap
-	if r == nil {
-		return ev
-	}
-	switch ev.Kind {
-	case EventClusterFormed, EventClusterMerged, EventClusterSplit, EventClusterDissolved:
-		ev.Cluster = r.one(ev.Cluster)
-		if ev.Kind == EventClusterMerged {
-			ev.Absorbed = r.one(ev.Absorbed)
-		}
-		if len(ev.Fragments) > 0 {
-			frags := make([]ClusterID, len(ev.Fragments))
-			for i, f := range ev.Fragments {
-				frags[i] = r.one(f)
-			}
-			ev.Fragments = frags
-		}
-	}
-	return ev
 }

@@ -394,9 +394,10 @@ func (ss *shardSet) noteLoadLocked(col int32, insert, waited bool) {
 // StripeCells returns the effective shard stripe width in grid cells along
 // dimension 0 (after clamping to the ghost-band width and, when
 // WithShardStripe was not given, the adaptive decision made at the first
-// committed batch). It returns 0 on a single-backend Engine.
+// committed batch). It returns 0 on a one-shard Engine, which has no
+// stripes to speak of.
 func (e *Engine) StripeCells() int {
-	if e.sh == nil {
+	if e.sh.one {
 		return 0
 	}
 	e.sh.routesMu.Lock()
@@ -406,10 +407,10 @@ func (e *Engine) StripeCells() int {
 
 // ShardLoads reports the per-shard placement load of a sharded Engine: the
 // stripes currently attributed to each shard, their resident owned points,
-// and their decayed update counters. It returns nil on a single-backend
-// Engine.
+// and their decayed update counters. It returns nil on a one-shard Engine,
+// which keeps no load accounts.
 func (e *Engine) ShardLoads() []ShardLoad {
-	if e.sh == nil {
+	if e.sh.one {
 		return nil
 	}
 	ss := e.sh
@@ -452,11 +453,8 @@ func (e *Engine) ShardLoads() []ShardLoad {
 // bit-for-bit. On insertion-only backends (AlgoSemiDynamic) the source
 // shard's copies cannot be deleted and remain resident (new traffic still
 // routes to the new owner); memory is reclaimed only on deletion-capable
-// algorithms. Rebalance on a single-backend Engine is a no-op.
+// algorithms. Rebalance on a one-shard Engine is a no-op.
 func (e *Engine) Rebalance() (moved int, err error) {
-	if e.sh == nil {
-		return 0, nil
-	}
 	// One pass at a time, shared with the automatic cadence: non-quiescent
 	// migrations release the world lock between chunks, so two interleaved
 	// passes could chase each other's placement. A call that loses the race
@@ -819,7 +817,7 @@ func (ss *shardSet) migrateStripeChunked(t int64, dst int32, chunk int) {
 						continue
 					}
 					owner := r.copies[0]
-					pt, ok := ss.shards[owner.shard].look.PointAt(owner.local)
+					pt, ok := ss.shards[owner.shard].b.PointAt(owner.local)
 					if !ok {
 						panic(fmt.Sprintf("dyndbscan: chunked migration lost the owner copy of point %d", gid))
 					}
@@ -827,7 +825,7 @@ func (ss *shardSet) migrateStripeChunked(t int64, dst int32, chunk int) {
 					if err != nil {
 						panic(fmt.Sprintf("dyndbscan: chunked migration re-staging point %d: %v", gid, err))
 					}
-					lid, err := ss.shards[s].st.InsertStaged(sp)
+					lid, err := ss.shards[s].b.InsertStaged(sp)
 					if err != nil {
 						panic(fmt.Sprintf("dyndbscan: shard %d rejected a migrated copy: %v", s, err))
 					}
@@ -940,7 +938,7 @@ func (ss *shardSet) trimChunks(chunk int) {
 			if keep {
 				continue
 			}
-			if err := ss.shards[tr.shard].c.Delete(tr.local); err != nil {
+			if err := ss.shards[tr.shard].b.Delete(tr.local); err != nil {
 				panic(fmt.Sprintf("dyndbscan: shard %d rejected trimming a deferred copy: %v", tr.shard, err))
 			}
 			r.copies = append(r.copies[:idx], r.copies[idx+1:]...)
@@ -1169,7 +1167,7 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 			}
 			if pt == nil {
 				owner := mv.old.copies[0]
-				p, ok := ss.shards[owner.shard].look.PointAt(owner.local)
+				p, ok := ss.shards[owner.shard].b.PointAt(owner.local)
 				if !ok {
 					panic(fmt.Sprintf("dyndbscan: migration lost the owner copy of point %d", mv.gid))
 				}
@@ -1179,7 +1177,7 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 			if err != nil {
 				panic(fmt.Sprintf("dyndbscan: migration re-staging point %d: %v", mv.gid, err))
 			}
-			lid, err := ss.shards[s].st.InsertStaged(sp)
+			lid, err := ss.shards[s].b.InsertStaged(sp)
 			if err != nil {
 				panic(fmt.Sprintf("dyndbscan: shard %d rejected a migrated copy: %v", s, err))
 			}
@@ -1221,7 +1219,7 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 
 	// Trim.
 	for _, rm := range removals {
-		if err := ss.shards[rm.shard].c.Delete(rm.local); err != nil {
+		if err := ss.shards[rm.shard].b.Delete(rm.local); err != nil {
 			panic(fmt.Sprintf("dyndbscan: shard %d rejected trimming a migrated copy: %v", rm.shard, err))
 		}
 	}
@@ -1232,7 +1230,7 @@ func (ss *shardSet) reshapeLocked(loCol, hiCol int64, flip func()) (ticket uint6
 		// derived from the stitch transition below instead.
 		for _, sh := range ss.shards {
 			sh.pending = sh.pending[:0]
-			sh.tracker.TakeDirtySeamCells()
+			sh.b.TakeDirtySeamCells()
 		}
 		comps, gidOf, prevGIDs := ss.restitchInfoLocked()
 		if ss.eventsOn {

@@ -501,7 +501,7 @@ func (tx *seamTxn) finalize() []Event {
 // formed (component with no history), dissolved (previous id reaching no
 // component), merged (several previous ids collapsing into one component) and
 // split (one previous id spread over several components). For single-op
-// commits this matches the single-backend event semantics; for large mixed
+// commits this matches the one-shard event semantics; for large mixed
 // batches it is the net transition between the two assignments.
 func netTransitions(comps [][]stitchKey, gidOf []ClusterID, prevGIDs [][]ClusterID, oldLive []ClusterID) []Event {
 	var formed []ClusterID
@@ -556,7 +556,7 @@ func (ss *shardSet) buildSeamLocked() {
 	// the seam was cold) on top of an already-exact baseline.
 	for _, sh := range ss.shards {
 		sh.pending = sh.pending[:0]
-		sh.tracker.TakeDirtySeamCells()
+		sh.b.TakeDirtySeamCells()
 	}
 	ss.restitchLocked()
 	ss.populateSeamLocked()
@@ -566,10 +566,10 @@ func (ss *shardSet) buildSeamLocked() {
 // buildSeamLocked only when it is actually cold — after a checkpoint restore
 // or a chunked stripe migration dropped it. On the warm path (the common
 // case: the seam is built at engine creation and folded by every commit)
-// this is a no-op, which is what lets Subscribe attach in O(1). Caller holds
-// worldMu exclusively.
+// this is a no-op, which is what lets Subscribe attach in O(1); a one-shard
+// engine has no seam at all. Caller holds worldMu exclusively.
 func (ss *shardSet) ensureSeamLocked() {
-	if ss.seam != nil {
+	if ss.seam != nil || ss.one {
 		return
 	}
 	ss.buildSeamLocked()
@@ -594,7 +594,7 @@ func (ss *shardSet) populateSeamLocked() {
 	}
 	for si, sh := range ss.shards {
 		s := int32(si)
-		sh.walker.ForEachCoreCell(func(coord grid.Coord, cid core.ClusterID) bool {
+		sh.b.ForEachCoreCell(func(coord grid.Coord, cid core.ClusterID) bool {
 			if !ss.replicated(coord) {
 				return true
 			}
@@ -634,7 +634,7 @@ func (ss *shardSet) auditSeamLocked() error {
 	freshKeys := make(map[stitchKey]struct{})
 	for si, sh := range ss.shards {
 		s := int32(si)
-		sh.walker.ForEachCoreCell(func(coord grid.Coord, cid core.ClusterID) bool {
+		sh.b.ForEachCoreCell(func(coord grid.Coord, cid core.ClusterID) bool {
 			freshKeys[stitchKey{s, cid}] = struct{}{}
 			if !ss.replicated(coord) {
 				return true

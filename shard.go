@@ -1,12 +1,20 @@
 package dyndbscan
 
-// Sharded serving mode: WithShards(n>1) partitions the grid of Section 4
-// into stripes along dimension 0, assigned to n shards through a versioned
+// The shard set: WithShards(n) partitions the grid of Section 4 into
+// stripes along dimension 0, assigned to n shards through a versioned
 // stripe→shard table (round-robin by default; load-aware rebalancing
 // migrates stripes — see placement.go). Each shard owns a full clustering
 // backend (internal/core) behind its own lock, so updates whose shard sets
 // are disjoint commit concurrently — the write path scales with cores the
 // way PR 2 made the read path scale with readers.
+//
+// Every Engine runs on a shard set; the default has one shard. Everything
+// that follows from having one shard is derived from the count: no ghost
+// band, no replicated cells, no seam fold and no migration; handles and
+// ClusterIDs are the backend's own (an identity stitch), so no route table
+// or translation map exists; and a query that finds no fresh snapshot is
+// answered by the backend under the shard lock instead of by a stitched
+// snapshot.
 //
 // # Ghost bands
 //
@@ -102,22 +110,79 @@ type route struct {
 	copies []copyRef
 }
 
+// backend is everything the engine uses of a shard's clusterer: the seam
+// walker and tracker, the delta-checkpoint update tracker (armed by
+// attachWAL), and the restore accessors. The built-in algorithms implement
+// all of it; Wrap adapts a foreign Clusterer through foreignBackend.
+type backend interface {
+	extendedClusterer
+	stagedInserter
+	core.CoreCellWalker
+	core.SeamTracker
+	core.PointLookup
+	core.UpdateTracker
+	restorableBackend
+}
+
+var (
+	_ backend = (*FullyDynamic)(nil)
+	_ backend = (*SemiDynamic)(nil)
+	_ backend = (*IncDBSCAN)(nil)
+)
+
+// foreignBackend supplies the capabilities a foreign Clusterer adopted by
+// Wrap lacks. Staged inserts become plain inserts; the trackers, walkers and
+// restore accessors serve only shard seams and the WAL, which a one-shard
+// engine built by Wrap never has. ext is the Clusterer's own identity and
+// event surface, nil when it has none.
+type foreignBackend struct {
+	Clusterer
+	ext extendedClusterer
+}
+
+func (f foreignBackend) InsertStaged(sp core.StagedPoint) (PointID, error) {
+	return f.Insert(sp.Point())
+}
+
+func (f foreignBackend) ClusterOf(id PointID) ([]ClusterID, bool) {
+	if f.ext == nil {
+		return nil, f.Has(id)
+	}
+	return f.ext.ClusterOf(id)
+}
+
+func (f foreignBackend) SetEventFunc(fn func(Event)) {
+	if f.ext != nil {
+		f.ext.SetEventFunc(fn)
+	}
+}
+
+func (foreignBackend) ForEachCoreCell(func(grid.Coord, ClusterID) bool)         {}
+func (foreignBackend) CoreCellCluster(grid.Coord) (ClusterID, bool)             { return 0, false }
+func (foreignBackend) SetSeamTracking(bool)                                     {}
+func (foreignBackend) TakeDirtySeamCells() []grid.Coord                         { return nil }
+func (foreignBackend) PointAt(PointID) (Point, bool)                            { return nil, false }
+func (foreignBackend) SetUpdateTracking(bool)                                   {}
+func (foreignBackend) TakeDirtyUpdateCells() []grid.Coord                       { return nil }
+func (foreignBackend) ForEachPointNear(grid.Coord, float64, func(PointID) bool) {}
+func (foreignBackend) NextClusterID() ClusterID                                 { return 0 }
+func (foreignBackend) SetNextPointID(PointID)                                   {}
+func (foreignBackend) RelabelClusters(map[ClusterID]ClusterID, ClusterID)       {}
+
 // shard is one spatial partition: a full clustering backend plus its lock.
 type shard struct {
 	idx int32
+	// mu serializes the shard's commits; live queries of a one-shard engine
+	// take it shared on AlgoFullyDynamic, whose queries are read-only.
+	//
 	//dynlint:lock-level 40 indexed
-	mu      sync.Mutex
-	c       Clusterer
-	ext     extendedClusterer
-	st      stagedInserter
-	walker  core.CoreCellWalker
-	tracker core.SeamTracker
-	look    core.PointLookup
-	upd     core.UpdateTracker // delta-checkpoint dirty cells; armed by attachWAL
+	mu sync.RWMutex
+	b  backend
 
 	// ownerGlobal maps backend-local handles of *owned* copies back to their
 	// global handles — the translation table for point-level events. Ghost
 	// copies are absent, which is what suppresses their duplicate events.
+	// nil on a one-shard engine, whose handles are the backend's own.
 	ownerGlobal map[core.PointID]PointID
 
 	// pending collects the backend's raw events during a commit while event
@@ -136,6 +201,12 @@ type shardSet struct {
 	bandCells   int64 // ghost band width in cells (covers 2(1+ρ)ε)
 
 	shards []*shard
+	// one is len(shards) == 1: handles and cluster ids are the backend's
+	// own, and routes, ownerGlobal and the seam stay empty.
+	one bool
+	// groupIDs marks a foreign Wrap backend without cluster identities:
+	// snapshot cluster ids are then the group indices of that snapshot.
+	groupIDs bool
 
 	// Placement state (see placement.go). assign overrides the round-robin
 	// stripe→shard default and placeEpoch versions it: both are read under
@@ -195,8 +266,12 @@ type shardSet struct {
 	worldMu sync.RWMutex
 
 	// Global handle table; guarded by routesMu (commits on disjoint shards
-	// mutate it concurrently). sortedIDs/idsSorted/pendingDead mirror the
-	// single-backend engine's incremental sorted-id cache.
+	// mutate it concurrently). A one-shard engine keeps no routes: the
+	// backend is its handle table. sortedIDs is the ascending live-handle
+	// cache snapshot builds and checkpoint captures consume, maintained
+	// incrementally: inserts append (handles mint in ascending order),
+	// deletes tombstone into pendingDead, and the tombstones compact away
+	// when a reader needs the slice or when they outnumber the live handles.
 	//dynlint:lock-level 50
 	routesMu    sync.Mutex
 	routes      map[PointID]route
@@ -242,21 +317,15 @@ type shardSet struct {
 	stitchValid   bool
 }
 
-// newShardedEngine builds the Engine for WithShards(n>1).
-func newShardedEngine(s *engineSettings) (*Engine, error) {
-	backends := make([]Clusterer, s.shards)
-	for i := range backends {
-		c, err := newBackend(s.algo, s.cfg)
-		if err != nil {
-			return nil, err
-		}
-		backends[i] = c
-	}
+// newShardedEngine builds the Engine over one backend per shard: New and
+// Open build them for the algorithm, Wrap adopts the caller's (possibly
+// populated) clusterer as the one shard.
+func newShardedEngine(s *engineSettings, algo Algorithm, backends []Clusterer) *Engine {
 	cfg := backends[0].Config() // normalized by the backend (IncDBSCAN forces Rho = 0)
 	e := &Engine{
-		threadSafe: true,
-		roQueries:  s.algo == AlgoFullyDynamic,
-		algo:       s.algo,
+		threadSafe: s.threadSafe,
+		roQueries:  algo == AlgoFullyDynamic,
+		algo:       algo,
 		cfg:        cfg,
 		workers:    pipeline.Workers(s.workers),
 		subs:       make(map[int]*subscriber),
@@ -272,7 +341,8 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 		// Cells at column distance k have box distance (k-1)·side; +2 keeps
 		// the rounding conservative (over-replication is a perf cost only).
 		bandCells:    int64(math.Floor(band/side)) + 2,
-		shards:       make([]*shard, s.shards),
+		shards:       make([]*shard, len(backends)),
+		one:          len(backends) == 1,
 		routes:       make(map[PointID]route),
 		idsSorted:    true,
 		pendingDead:  make(map[PointID]struct{}),
@@ -281,7 +351,7 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 		splits:       make(map[int64]*stripeSplit),
 		stripeLoad:   make(map[int64]*stripeStat),
 		stagedRoutes: make(map[PointID]int64),
-		policy:       s.rebalance.normalize(s.shards),
+		policy:       s.rebalance.normalize(len(backends)),
 	}
 	if s.hotspotSet {
 		ss.hs = newHotspotState(s.hotspot)
@@ -293,13 +363,13 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 	// Stripe width. A stripe no wider than the ghost band replicates every
 	// cell into several (possibly all) shards — sharding's cost without its
 	// parallelism — so explicit widths are clamped to bandCells+1. Without
-	// WithShardStripe the width is adaptive: the provisional default applies
-	// until the first committed batch reveals the data extent
-	// (decideStripeLocked), so small-extent workloads still spread across
-	// every shard.
+	// WithShardStripe the width is adaptive on a sharded engine: the
+	// provisional default applies until the first committed batch reveals
+	// the data extent (decideStripeLocked), so small-extent workloads still
+	// spread across every shard.
 	if s.stripeCells == 0 {
 		ss.stripeCells = defaultStripeCells
-		ss.adaptivePending = true
+		ss.adaptivePending = !ss.one
 	} else {
 		ss.stripeCells = int64(s.stripeCells)
 		if min := ss.bandCells + 1; ss.stripeCells < min {
@@ -307,49 +377,120 @@ func newShardedEngine(s *engineSettings) (*Engine, error) {
 		}
 	}
 	for i, c := range backends {
-		ext, okExt := c.(extendedClusterer)
-		st, okSt := c.(stagedInserter)
-		walker, okWalk := c.(core.CoreCellWalker)
-		tracker, okTrack := c.(core.SeamTracker)
-		look, okLook := c.(core.PointLookup)
-		upd, okUpd := c.(core.UpdateTracker)
-		if !okExt || !okSt || !okWalk || !okTrack || !okLook || !okUpd {
-			return nil, fmt.Errorf("dyndbscan: algorithm %v lacks the sharding capabilities", s.algo)
+		b, ok := c.(backend)
+		if !ok {
+			f := foreignBackend{Clusterer: c}
+			f.ext, _ = c.(extendedClusterer)
+			ss.groupIDs = f.ext == nil
+			b = f
 		}
-		ss.shards[i] = &shard{
-			idx:         int32(i),
-			c:           c,
-			ext:         ext,
-			st:          st,
-			walker:      walker,
-			tracker:     tracker,
-			look:        look,
-			upd:         upd,
-			ownerGlobal: make(map[core.PointID]PointID),
+		sh := &shard{idx: int32(i), b: b}
+		// Event collection is permanent: every sharded commit folds its seam
+		// delta whether or not subscribers exist, so eventsOn only gates what
+		// is published, never what is maintained.
+		sh.b.SetEventFunc(func(ev Event) { sh.pending = append(sh.pending, ev) })
+		if !ss.one {
+			sh.ownerGlobal = make(map[core.PointID]PointID)
+			sh.b.SetSeamTracking(true)
 		}
+		ss.shards[i] = sh
 	}
-	for _, sh := range ss.shards {
-		sh := sh
-		// Event collection and dirty-cell tracking are permanent: every
-		// commit folds its seam delta whether or not subscribers exist, so
-		// eventsOn only gates what is published, never what is maintained.
-		sh.ext.SetEventFunc(func(ev Event) { sh.pending = append(sh.pending, ev) })
-		sh.tracker.SetSeamTracking(true)
+	if ss.one {
+		// A wrapped clusterer may come pre-populated: seed the sorted-id
+		// cache and the mint horizon from it.
+		ids := backends[0].IDs()
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		ss.sortedIDs = ids
+		if n := len(ids); n > 0 {
+			ss.nextID = ids[n-1] + 1
+		}
+	} else {
+		// The seam is warm from birth: an empty world stitches trivially,
+		// and every commit folds its own delta from here on.
+		ss.seam = newSeamState()
 	}
-	// The seam is warm from birth: an empty world stitches trivially, and
-	// every commit folds its own delta from here on.
-	ss.seam = newSeamState()
 	e.sh = ss
-	return e, nil
+	return e
+}
+
+// queryShard locks a one-shard engine's backend for a live query: worldMu
+// shared, as commits hold it (snapshot builds and checkpoint captures read
+// the backend under worldMu exclusive), plus the shard lock — shared when
+// ro, since AlgoFullyDynamic answers queries without mutating, exclusive
+// otherwise (the other algorithms compress union-find paths on lookups).
+func (ss *shardSet) queryShard(ro bool) (*shard, func()) {
+	sh := ss.shards[0]
+	ss.worldMu.RLock()
+	if ro {
+		sh.mu.RLock()
+		return sh, func() {
+			sh.mu.RUnlock()
+			ss.worldMu.RUnlock()
+		}
+	}
+	sh.mu.Lock()
+	return sh, func() {
+		sh.mu.Unlock()
+		ss.worldMu.RUnlock()
+	}
+}
+
+// liveLocked reports whether a global handle is routed (staged hotspot
+// inserts aside). The caller holds routesMu or worldMu exclusively — and, on
+// a one-shard engine, whose backend is the handle table, the shard lock or
+// worldMu exclusively.
+func (ss *shardSet) liveLocked(id PointID) bool {
+	if ss.one {
+		return ss.shards[0].b.Has(id)
+	}
+	_, ok := ss.routes[id]
+	return ok
+}
+
+// ownerCopy locates the owner copy of a live global handle; the caller holds
+// routesMu or worldMu exclusively. A one-shard engine's handle is the
+// backend's own.
+func (ss *shardSet) ownerCopy(gid PointID) copyRef {
+	if ss.one {
+		return copyRef{local: gid}
+	}
+	return ss.routes[gid].copies[0]
+}
+
+// globalOf translates the backend handle of a shard's copy to its global
+// handle; ok is false for ghost copies, whose owner shard speaks for them.
+func (sh *shard) globalOf(lid core.PointID) (PointID, bool) {
+	if sh.ownerGlobal == nil {
+		return lid, true // one shard: handles are the backend's own
+	}
+	gid, ok := sh.ownerGlobal[lid]
+	return gid, ok
+}
+
+// globalCIDs maps shard s's local cluster ids to global ones through the
+// stitch gidOf (ascending, deduplicated: two local clusters may stitch into
+// one). A one-shard engine's cluster ids are the backend's own.
+func (ss *shardSet) globalCIDs(s int32, cids []ClusterID, gidOf map[stitchKey]ClusterID) []ClusterID {
+	if ss.one || len(cids) == 0 {
+		return cids
+	}
+	out := make([]ClusterID, 0, len(cids))
+	for _, cid := range cids {
+		if g, ok := gidOf[stitchKey{s, cid}]; ok {
+			out = append(out, g)
+		}
+	}
+	return dedupSortedIDs(out)
 }
 
 // Routing arithmetic lives in placement.go: stripe t covers columns
 // [t·W, (t+1)·W) of dimension 0 and resolves to a shard through the
 // assignment table (round-robin by default, overridden by migrations).
 
-// stage runs the sharded pre-commit phase: validation, cloning, and cell
-// assignment across the engine's workers (sharded backends always accept
-// staged points). Error naming mirrors Engine.stageInserts.
+// stage runs the pre-commit phase: validation, cloning, and cell assignment
+// across the engine's workers. Errors name the failing element as
+// "<what> <index>"; idx, when non-nil, remaps element positions to caller
+// indices (Apply's op positions).
 func (ss *shardSet) stage(pts []Point, what string, idx []int) ([]core.StagedPoint, error) {
 	at := func(i int) int {
 		if idx != nil {
@@ -387,11 +528,12 @@ type shardItem struct {
 // commitBatch applies a staged, pre-validated batch as one epoch: one
 // version advance, one event publication. Delete targets are looked up and
 // re-validated under the shard locks, so a batch with a vanished target
-// fails atomically with errUnknown(opIndex, id) and no state change.
-// Backends are built-in and the ops validated, so the commit itself cannot
-// fail part-way.
-func (ss *shardSet) commitBatch(ops []shOp, errUnknown func(i int, id PointID) error) ([]PointID, error) {
-	out, err := ss.commitBatchNoCkpt(ops, errUnknown)
+// fails atomically with errUnknown(opIndex, id) and no state change. The
+// built-in backends cannot fail a validated op; a foreign Wrap backend that
+// rejects op i commits the ops before it and reports abort(i, err) (the raw
+// error when abort is nil).
+func (ss *shardSet) commitBatch(ops []shOp, errUnknown func(i int, id PointID) error, abort func(i int, err error) error) ([]PointID, error) {
+	out, err := ss.commitBatchNoCkpt(ops, errUnknown, abort)
 	// Checkpoint cadence runs here, outside the fold-safe inner commit: a
 	// reconcile fold holds reconcileMu, and Checkpoint is a blocking join
 	// (joinAllWait) — an auto-checkpoint from inside the fold would
@@ -404,7 +546,7 @@ func (ss *shardSet) commitBatch(ops []shOp, errUnknown func(i int, id PointID) e
 
 // commitBatchNoCkpt is commitBatch without the trailing checkpoint-cadence
 // check — the variant a reconcile fold may run while holding reconcileMu.
-func (ss *shardSet) commitBatchNoCkpt(ops []shOp, errUnknown func(i int, id PointID) error) ([]PointID, error) {
+func (ss *shardSet) commitBatchNoCkpt(ops []shOp, errUnknown func(i int, id PointID) error, abort func(i int, err error) error) ([]PointID, error) {
 	e := ss.e
 
 	// Routing runs against one placement epoch: the epoch is snapshotted
@@ -426,9 +568,15 @@ func (ss *shardSet) commitBatchNoCkpt(ops []shOp, errUnknown func(i int, id Poin
 	)
 route:
 	for {
-		// Route: owner+ghost shards per insert; route copies per delete.
+		// Route: owner+ghost shards per insert; route copies per delete. A
+		// one-shard engine's only copy is the owner copy under the point's
+		// own handle; its deletes are validated under the lock below.
 		copies = make([][]copyRef, len(ops))
 		cols = make([]int32, len(ops))
+		var own []copyRef
+		if ss.one {
+			own = make([]copyRef, len(ops))
+		}
 		ss.routesMu.Lock()
 		if ss.adaptivePending {
 			// First routed batch: derive the stripe width from its extent
@@ -438,7 +586,11 @@ route:
 		epoch := ss.placeEpoch
 		for i := range ops {
 			op := &ops[i]
-			if op.insert {
+			switch {
+			case ss.one:
+				own[i].local = op.gid
+				copies[i] = own[i : i+1 : i+1]
+			case op.insert:
 				shs := ss.shardsOf(op.sp.Coord())
 				cs := make([]copyRef, len(shs))
 				for j, s := range shs {
@@ -446,15 +598,15 @@ route:
 				}
 				copies[i] = cs
 				cols[i] = op.sp.Coord()[0]
-				continue
+			default:
+				r, ok := ss.routes[op.gid]
+				if !ok {
+					ss.routesMu.Unlock()
+					return nil, errUnknown(i, op.gid)
+				}
+				copies[i] = r.copies
+				cols[i] = r.col
 			}
-			r, ok := ss.routes[op.gid]
-			if !ok {
-				ss.routesMu.Unlock()
-				return nil, errUnknown(i, op.gid)
-			}
-			copies[i] = r.copies
-			cols[i] = r.col
 		}
 		ss.routesMu.Unlock()
 
@@ -533,12 +685,13 @@ route:
 			continue route // placement moved under us: re-route
 		}
 		for i := range ops {
-			if !ops[i].insert {
-				if _, ok := ss.routes[ops[i].gid]; !ok {
-					ss.routesMu.Unlock()
-					unlock()
-					return nil, errUnknown(i, ops[i].gid)
-				}
+			if ops[i].insert {
+				continue
+			}
+			if !ss.liveLocked(ops[i].gid) {
+				ss.routesMu.Unlock()
+				unlock()
+				return nil, errUnknown(i, ops[i].gid)
 			}
 		}
 		// WAL append happens here — inside the same routesMu section that
@@ -552,6 +705,8 @@ route:
 		// handles; every insert is logged as OpInsertAt carrying its handle
 		// explicitly, which requires minting first (a failed append then burns
 		// ids — harmless, since replay reads handles instead of re-minting).
+		// A one-shard engine's backend mints the handles itself when it
+		// applies the inserts below.
 		explicit := ss.hs != nil
 		if explicit && !minted {
 			for i := range ops {
@@ -576,7 +731,7 @@ route:
 				walSeq = seq
 			}
 		}
-		if !explicit {
+		if !explicit && !ss.one {
 			for i := range ops {
 				if ops[i].insert && !ops[i].forceGID {
 					ops[i].gid = ss.nextID
@@ -589,42 +744,63 @@ route:
 	}
 
 	// Apply each shard's op subsequence; shards proceed in parallel. The
-	// fanout is skipped for the common single-shard op.
+	// fanout is skipped for the common single-shard op. A one-shard engine
+	// has no seam: its backend's events, point and cluster alike, are the
+	// engine's own, collected in emission order whenever a subscriber or
+	// the delta checkpoints' merge ledger consumes them.
+	track := e.logging()
 	evsBuf := make([][]Event, len(involved))
 	clustBuf := make([][]Event, len(involved))
 	dirtyBuf := make([][]grid.Coord, len(involved))
+	failAt, failErr := -1, error(nil)
 	runShard := func(k int, s int32) {
 		sh := ss.shards[s]
+		// Events a backend raised outside this commit's ops (validation
+		// probes) belong to no commit.
+		sh.pending = sh.pending[:0]
+		clust, pts, cls := &clustBuf[k], evsOn, seamOn
+		if ss.one {
+			clust, pts, cls = &evsBuf[k], evsOn || track, evsOn || track
+		}
 		for _, it := range perShard[s] {
 			op := &ops[it.op]
+			var err error
 			if op.insert {
-				lid, err := sh.st.InsertStaged(op.sp)
-				if err != nil {
-					// Unreachable: the point was staged by a matching Stager.
-					panic(fmt.Sprintf("dyndbscan: shard %d rejected a staged insert: %v", s, err))
+				if ss.one && op.forceGID {
+					sh.b.SetNextPointID(op.gid) // restore: the backend mints the stored handle
 				}
-				copies[it.op][it.slot].local = lid
-				if it.owner {
-					sh.ownerGlobal[lid] = op.gid
+				var lid PointID
+				if lid, err = sh.b.InsertStaged(op.sp); err == nil {
+					copies[it.op][it.slot].local = lid
+					if ss.one {
+						op.gid = lid
+					} else if it.owner {
+						sh.ownerGlobal[lid] = op.gid
+					}
 				}
-				sh.drainEvents(&evsBuf[k], &clustBuf[k], evsOn, seamOn)
-				continue
+			} else {
+				err = sh.b.Delete(it.local)
 			}
-			if err := sh.c.Delete(it.local); err != nil {
-				// Unreachable: the target was validated under the locks.
-				panic(fmt.Sprintf("dyndbscan: shard %d rejected a validated delete: %v", s, err))
+			if err != nil {
+				if !ss.one {
+					// Unreachable: built-in backends, staged and validated ops.
+					panic(fmt.Sprintf("dyndbscan: shard %d rejected a validated op: %v", s, err))
+				}
+				failAt, failErr = it.op, err
+				return
 			}
-			// Drain before dropping the translation entry, so demotion
-			// events of points deleted later in this batch still translate.
-			sh.drainEvents(&evsBuf[k], &clustBuf[k], evsOn, seamOn)
-			if it.owner {
+			// Drained before a delete drops the translation entry, so
+			// demotion events of points deleted later in this batch still
+			// translate.
+			sh.drainEvents(&evsBuf[k], clust, pts, cls)
+			if !op.insert && it.owner {
 				delete(sh.ownerGlobal, it.local)
 			}
 		}
 		// The tracker accumulates dirty cells whether or not the seam is
 		// live; draining unconditionally keeps a cold period (checkpoint
 		// restore, chunked migration) from growing the set without bound.
-		if dirty := sh.tracker.TakeDirtySeamCells(); seamOn {
+		if dirty := sh.b.TakeDirtySeamCells(); seamOn {
 			dirtyBuf[k] = dirty
 		}
 	}
@@ -641,24 +817,47 @@ route:
 		}
 		wg.Wait()
 	}
+	if failAt >= 0 {
+		// A foreign backend rejected op failAt: the ops before it commit.
+		if abort != nil {
+			failErr = abort(failAt, failErr)
+		}
+		if failAt == 0 {
+			unlock()
+			return nil, failErr
+		}
+		ops = ops[:failAt]
+	}
 
 	// Publish the routes and the sorted-id cache, and charge the commit to
 	// its owner stripes' load accounts.
 	out := make([]PointID, len(ops))
 	var dins, ddel []PointID
-	track := e.logging()
 	ss.routesMu.Lock()
 	ss.commitSeq++
 	for i := range ops {
 		op := &ops[i]
 		out[i] = op.gid
-		ss.noteLoadLocked(cols[i], op.insert, waited[copies[i][0].shard])
+		if !ss.one {
+			ss.noteLoadLocked(cols[i], op.insert, waited[copies[i][0].shard])
+		}
 		if op.insert {
-			ss.routes[op.gid] = route{col: cols[i], copies: copies[i]}
-			if n := len(ss.sortedIDs); n > 0 && op.gid <= ss.sortedIDs[n-1] {
-				ss.idsSorted = false // concurrent commits may interleave mints
+			if !ss.one {
+				ss.routes[op.gid] = route{col: cols[i], copies: copies[i]}
 			}
-			ss.sortedIDs = append(ss.sortedIDs, op.gid)
+			if op.gid >= ss.nextID {
+				ss.nextID = op.gid + 1 // one shard: the backend minted it
+			}
+			if _, dead := ss.pendingDead[op.gid]; dead {
+				// A foreign backend re-issued a tombstoned handle; it is
+				// still in sortedIDs, so just resurrect it.
+				delete(ss.pendingDead, op.gid)
+			} else {
+				if n := len(ss.sortedIDs); n > 0 && op.gid <= ss.sortedIDs[n-1] {
+					ss.idsSorted = false // concurrent commits may interleave mints
+				}
+				ss.sortedIDs = append(ss.sortedIDs, op.gid)
+			}
 			if track {
 				dins = append(dins, op.gid)
 			}
@@ -669,6 +868,11 @@ route:
 				ddel = append(ddel, op.gid)
 			}
 		}
+	}
+	if 2*len(ss.pendingDead) > len(ss.sortedIDs) {
+		// Tombstones outnumber the live handles: compact now (amortized O(1)
+		// per delete), so a stream that never snapshots stays bounded.
+		ss.sortedIDs, ss.pendingDead = compactLiveIDs(ss.sortedIDs, ss.pendingDead, &ss.idsSorted)
 	}
 	if ss.hs != nil {
 		ss.noteHotspotLocked()
@@ -692,7 +896,16 @@ route:
 	var evs []Event
 	var ticket uint64
 	pub := false
-	if seamOn {
+	switch {
+	case ss.one:
+		// Identity stitch: the backend's events are global as they stand.
+		evs = evsBuf[0]
+		e.wal.noteDirtyEvents(evs)
+		e.version.Add(1)
+		if pub = evsOn && len(evs) > 0; pub && e.threadSafe {
+			ticket = e.takeTicket() // inside the shard lock: commit order
+		}
+	case seamOn:
 		if evsOn {
 			for _, buf := range evsBuf {
 				evs = append(evs, buf...)
@@ -703,7 +916,7 @@ route:
 		for k, s := range involved {
 			sh := ss.shards[s]
 			for _, ev := range clustBuf[k] {
-				tx.applyClusterEvent(s, ev, sh.walker)
+				tx.applyClusterEvent(s, ev, sh.b)
 			}
 		}
 		for k, s := range involved {
@@ -712,7 +925,7 @@ route:
 				if !ss.replicated(coord) {
 					continue // interior cell: no seam relevance
 				}
-				lab, ok := sh.walker.CoreCellCluster(coord)
+				lab, ok := sh.b.CoreCellCluster(coord)
 				tx.setEntry(s, coord, lab, ok)
 			}
 		}
@@ -737,7 +950,7 @@ route:
 			pub = true
 		}
 		ss.seamMu.Unlock()
-	} else {
+	default:
 		e.version.Add(1)
 		// Seam-cold commit: no fold ran, so the cluster lineage of this
 		// commit is unknown — the next checkpoint cannot be a delta.
@@ -749,10 +962,10 @@ route:
 	// describes a state change the log could still lose.
 	werr := e.wal.finish(walSeq)
 	if pub {
-		// The enqueue runs after the unlock, mirroring Engine.release: a
-		// publisher parked on a full BlockSubscriber queue holds no engine
-		// lock, so the subscriber's callback can always query its way out.
-		e.publishOrdered(ticket, evs)
+		// The enqueue runs after the unlock: a publisher parked on a full
+		// BlockSubscriber queue holds no engine lock, so the subscriber's
+		// callback can always query its way out.
+		e.publish(ticket, evs)
 	}
 	if ss.autoEvery > 0 {
 		// Automatic rebalancing check (WithRebalance): runs on the
@@ -770,6 +983,9 @@ route:
 	// Adaptive-width re-derivation cadence: same discipline (committing
 	// goroutine, no lock pinned; self-gating and TryLock-protected inside).
 	ss.maybeAdaptWidth()
+	if failErr != nil {
+		return out, failErr
+	}
 	return out, werr
 }
 
@@ -798,23 +1014,6 @@ func walOpsFromShOps(ops []shOp, dims int, explicit bool) []wal.Op {
 	return wops
 }
 
-// takeTicket assigns the next publication ticket; see Engine.release for the
-// ordering contract. Sharded commits take it under e.mu so Engine.Sync's
-// horizon read stays correct.
-func (e *Engine) takeTicket() uint64 {
-	e.mu.Lock()
-	t := e.pubTicket
-	// Tickets order in-process event publication; they are not durable
-	// state. The WAL logs the data ops a publication describes, and after
-	// recovery the counter restarts with no subscribers attached, so an
-	// unlogged increment cannot be observed across a crash.
-	//
-	//dynlint:ignore logvisible publication tickets are transient ordering state, not recovered from the WAL
-	e.pubTicket++
-	e.mu.Unlock()
-	return t
-}
-
 // drainEvents translates and collects the shard's pending backend events.
 // Point events of owned copies are translated to global handles; point
 // events of ghost copies (absent from ownerGlobal) are duplicates of the
@@ -836,7 +1035,7 @@ func (sh *shard) drainEvents(buf *[]Event, clust *[]Event, evsOn, seamOn bool) {
 			if !evsOn {
 				continue
 			}
-			if gid, ok := sh.ownerGlobal[ev.Point]; ok {
+			if gid, ok := sh.globalOf(ev.Point); ok {
 				ev.Point = gid
 				*buf = append(*buf, ev)
 			}
@@ -849,141 +1048,19 @@ func (sh *shard) drainEvents(buf *[]Event, clust *[]Event, evsOn, seamOn bool) {
 	sh.pending = sh.pending[:0]
 }
 
-// Update entry points; the public Engine methods delegate here in sharded
-// mode.
-
-func (ss *shardSet) insert(pt Point) (PointID, error) {
-	sp, err := ss.stager.Stage(pt)
-	if err != nil {
-		return 0, err
-	}
-	if ss.hs != nil {
-		if out, ok, err := ss.hotCommit([]core.StagedPoint{sp}); ok {
-			if err != nil {
-				return 0, err
-			}
-			return out[0], nil
-		}
-	}
-	out, err := ss.commitBatch([]shOp{{insert: true, sp: sp}}, nil)
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
-}
-
-func (ss *shardSet) delete(id PointID) error {
-	if ss.e.algo == AlgoSemiDynamic {
-		return ErrDeletesUnsupported
-	}
-	ss.joinForDelete([]PointID{id})
-	_, err := ss.commitBatch([]shOp{{gid: id}}, func(int, PointID) error {
-		return ErrUnknownPoint
-	})
-	return err
-}
-
-func (ss *shardSet) insertBatch(pts []Point) ([]PointID, error) {
-	staged, err := ss.stage(pts, "InsertBatch point", nil)
-	if err != nil {
-		return nil, err
-	}
-	if len(pts) == 0 {
-		return nil, nil
-	}
-	if ss.hs != nil {
-		if out, ok, err := ss.hotCommit(staged); ok {
-			return out, err
-		}
-	}
-	ops := make([]shOp, len(staged))
-	for i, sp := range staged {
-		ops[i] = shOp{insert: true, sp: sp}
-	}
-	return ss.commitBatch(ops, nil)
-}
-
-func (ss *shardSet) deleteBatch(ids []PointID) error {
-	if len(ids) == 0 {
-		return nil
-	}
-	ss.joinForDelete(ids)
-	// Mirror the single-backend validation order (ascending index, duplicate
-	// before existence) so the two modes report the same failure.
-	seen := make(map[PointID]struct{}, len(ids))
-	ss.routesMu.Lock()
-	for i, id := range ids {
-		if _, dup := seen[id]; dup {
-			ss.routesMu.Unlock()
-			return fmt.Errorf("dyndbscan: DeleteBatch id %d duplicated at index %d: %w", id, i, ErrDuplicateID)
-		}
-		seen[id] = struct{}{}
-		if _, ok := ss.routes[id]; !ok {
-			ss.routesMu.Unlock()
-			return fmt.Errorf("dyndbscan: DeleteBatch index %d: %w (id %d)", i, ErrUnknownPoint, id)
-		}
-	}
-	ss.routesMu.Unlock()
-	if ss.e.algo == AlgoSemiDynamic {
-		// Same failure the single-backend engine reports when the backend
-		// rejects the first delete; no state has changed at that point.
-		return fmt.Errorf("dyndbscan: DeleteBatch aborted at index 0: %w", ErrDeletesUnsupported)
-	}
-	ops := make([]shOp, len(ids))
-	for i, id := range ids {
-		ops[i] = shOp{gid: id}
-	}
-	_, err := ss.commitBatch(ops, func(i int, id PointID) error {
-		return fmt.Errorf("dyndbscan: DeleteBatch index %d: %w (id %d)", i, ErrUnknownPoint, id)
-	})
-	return err
-}
-
-// apply commits a mixed batch; Engine.Apply has already validated kinds and
-// duplicate deletes and split out the insertions.
-func (ss *shardSet) apply(ops []Op, inserts []Point, insertAt []int) ([]PointID, error) {
-	staged, err := ss.stage(inserts, "Apply op", insertAt)
-	if err != nil {
-		return nil, err
-	}
-	if ss.hs != nil {
-		if len(inserts) == len(ops) {
-			// Pure-insert batch: eligible for split-phase diversion.
-			if out, ok, err := ss.hotCommit(staged); ok {
-				return out, err
-			}
-		} else {
-			targets := make([]PointID, 0, len(ops)-len(inserts))
-			for _, op := range ops {
-				if op.Kind != OpInsert {
-					targets = append(targets, op.ID)
-				}
-			}
-			ss.joinForDelete(targets)
-		}
-	}
-	shOps := make([]shOp, len(ops))
-	next := 0
-	for i, op := range ops {
-		if op.Kind == OpInsert {
-			shOps[i] = shOp{insert: true, sp: staged[next]}
-			next++
-		} else {
-			shOps[i] = shOp{gid: op.ID}
-		}
-	}
-	return ss.commitBatch(shOps, func(i int, id PointID) error {
-		return fmt.Errorf("dyndbscan: Apply op %d: %w (id %d)", i, ErrUnknownPoint, id)
-	})
-}
-
 // Read surface. The handle views (len, has, ids) count staged-but-
 // unreconciled hotspot inserts through stagedRoutes: a staged handle was
 // acked, so it must never look dead. A handle can briefly appear in both maps
 // (stagedRoutes entries are removed only after the reconcile published the
-// real route), hence the dedup.
+// real route), hence the dedup. A one-shard engine's handle table is its
+// backend.
 
 func (ss *shardSet) len() int {
+	if ss.one {
+		sh, unlock := ss.queryShard(true)
+		defer unlock()
+		return sh.b.Len()
+	}
 	ss.routesMu.Lock()
 	defer ss.routesMu.Unlock()
 	n := len(ss.routes)
@@ -996,6 +1073,11 @@ func (ss *shardSet) len() int {
 }
 
 func (ss *shardSet) has(id PointID) bool {
+	if ss.one {
+		sh, unlock := ss.queryShard(true)
+		defer unlock()
+		return sh.b.Has(id)
+	}
 	ss.routesMu.Lock()
 	defer ss.routesMu.Unlock()
 	if _, ok := ss.routes[id]; ok {
@@ -1006,6 +1088,11 @@ func (ss *shardSet) has(id PointID) bool {
 }
 
 func (ss *shardSet) ids() []PointID {
+	if ss.one {
+		sh, unlock := ss.queryShard(true)
+		defer unlock()
+		return sh.b.IDs()
+	}
 	ss.routesMu.Lock()
 	defer ss.routesMu.Unlock()
 	out := make([]PointID, 0, len(ss.routes)+len(ss.stagedRoutes))
@@ -1031,12 +1118,15 @@ func (ss *shardSet) ids() []PointID {
 func (ss *shardSet) liveIDsLocked() []PointID {
 	ss.routesMu.Lock()
 	defer ss.routesMu.Unlock()
-	ss.sortedIDs = compactLiveIDs(ss.sortedIDs, ss.pendingDead, &ss.idsSorted)
+	ss.sortedIDs, ss.pendingDead = compactLiveIDs(ss.sortedIDs, ss.pendingDead, &ss.idsSorted)
 	return append([]PointID(nil), ss.sortedIDs...)
 }
 
-// snapshot builds (and publishes) the stitched cross-shard snapshot for the
-// current epoch.
+// parallelSnapshotMin is the live-point count below which snapshot
+// construction stays serial: forking workers costs more than the walk.
+const parallelSnapshotMin = 2048
+
+// snapshot builds (and publishes) the snapshot of the current epoch.
 func (ss *shardSet) snapshot() *Snapshot {
 	e := ss.e
 	// A clustering query is a join trigger: staged hotspot inserts must fold
@@ -1049,31 +1139,30 @@ func (ss *shardSet) snapshot() *Snapshot {
 	if s := e.currentSnapshot(); s != nil {
 		return s // lost the build race to another reader
 	}
-	gidOf := ss.stitchLocked()
 	ids := ss.liveIDsLocked()
 	s := &Snapshot{
 		Version:  e.version.Load(),
 		Clusters: make(map[ClusterID][]PointID),
 		byPoint:  make(map[PointID][]ClusterID, len(ids)),
 	}
+	if ss.groupIDs {
+		if !ss.groupSnapshotLocked(s, ids) {
+			// A foreign backend failed mid-build: this caller gets a
+			// best-effort view, never an epoch-long lock-free source of
+			// wrong answers.
+			return s
+		}
+		e.snap.Store(s)
+		return s
+	}
 	// Owner shards answer membership: their view of every owned point (and
 	// of the seam cells within ε of it) is exact, and the local cluster ids
-	// they report map through the stitch to global ids. Two local ids may
-	// stitch to one global cluster, hence the dedup.
+	// they report map through the stitch to global ids.
+	gidOf := ss.stitchLocked()
 	resolve := func(id PointID) ([]ClusterID, bool) {
-		owner := ss.routes[id].copies[0]
-		cids, ok := ss.shards[owner.shard].ext.ClusterOf(owner.local)
-		if !ok {
-			return nil, false
-		}
-		if len(cids) == 0 {
-			return nil, true // live noise point
-		}
-		out := make([]ClusterID, 0, len(cids))
-		for _, cid := range cids {
-			out = append(out, gidOf[stitchKey{owner.shard, cid}])
-		}
-		return dedupSortedIDs(out), true
+		owner := ss.ownerCopy(id)
+		cids, ok := ss.shards[owner.shard].b.ClusterOf(owner.local)
+		return ss.globalCIDs(owner.shard, cids, gidOf), ok
 	}
 	workers := 1
 	if e.roQueries && e.workers > 1 && len(ids) >= parallelSnapshotMin {
@@ -1081,15 +1170,38 @@ func (ss *shardSet) snapshot() *Snapshot {
 		// (AlgoFullyDynamic): chunks may hit the same shard concurrently.
 		workers = e.workers
 	}
-	// Same contract as Engine.Snapshot: worldMu held across the member
-	// resolution keeps the cut frozen; resolveMembers' worker join is
-	// bounded and its workers only read shard backends (no engine locks),
-	// so it cannot deadlock.
+	// Holding worldMu across the member resolution is the snapshot
+	// contract: the view must be a frozen cut. resolveMembers' worker join
+	// is bounded and its workers only read shard backends (no engine locks),
+	// so it cannot deadlock — it just makes writers wait behind a reader.
 	//
 	//dynlint:ignore holdblock snapshot build quiesces commits by design; worker join is bounded and lock-free
 	resolveMembers(s, ids, workers, resolve)
 	e.snap.Store(s)
 	return s
+}
+
+// groupSnapshotLocked fills s for a foreign backend without cluster
+// identities: cluster ids are the group indices of this snapshot only. The
+// backend gets a copy of the id slice — the Clusterer contract does not
+// forbid reordering or retaining q. ok is false when the backend failed.
+func (ss *shardSet) groupSnapshotLocked(s *Snapshot, ids []PointID) bool {
+	res, err := ss.shards[0].b.GroupBy(append([]PointID(nil), ids...))
+	if err != nil {
+		return false
+	}
+	for g, members := range res.Groups {
+		cid := ClusterID(g)
+		s.Clusters[cid] = append(s.Clusters[cid], members...)
+		for _, id := range members {
+			s.byPoint[id] = append(s.byPoint[id], cid)
+		}
+	}
+	for _, id := range res.Noise {
+		s.byPoint[id] = nil
+	}
+	s.Noise = res.Noise
+	return true
 }
 
 // dedupSortedIDs sorts and dedups in place (global ids of one point after
@@ -1114,6 +1226,9 @@ func dedupSortedIDs(ids []ClusterID) []ClusterID {
 // the seam is live, is every epoch: subscribed commits keep keyGID current
 // as they fold their deltas. Caller holds worldMu exclusively.
 func (ss *shardSet) stitchLocked() map[stitchKey]ClusterID {
+	if ss.one {
+		return nil // identity stitch: cluster ids are the backend's own
+	}
 	v := ss.e.version.Load()
 	if ss.stitchValid && ss.stitchVersion == v {
 		return ss.stitched
@@ -1159,14 +1274,14 @@ func (ss *shardSet) restitchInfoLocked() (comps [][]stitchKey, gidOf []ClusterID
 	}
 	for si, sh := range ss.shards {
 		s := int32(si)
-		sh.walker.ForEachCoreCell(func(coord grid.Coord, cid core.ClusterID) bool {
+		sh.b.ForEachCoreCell(func(coord grid.Coord, cid core.ClusterID) bool {
 			k := stitchKey{s, cid}
 			intern(k)
 			if owner := ss.ownerOf(coord); owner != s {
 				// The cell lives in another shard's territory: the owner's
 				// view of it is exact, so its local cluster there and our
 				// local cluster here are the same global cluster.
-				if ocid, ok := ss.shards[owner].walker.CoreCellCluster(coord); ok {
+				if ocid, ok := ss.shards[owner].b.CoreCellCluster(coord); ok {
 					edges = append(edges, edge{k, stitchKey{owner, ocid}})
 				}
 			}
@@ -1291,7 +1406,10 @@ func containsID(ids []ClusterID, id ClusterID) bool {
 }
 
 // syncEvents reconciles event *publication* with the engine's subscriber
-// count; the sharded counterpart of Engine.syncEventFunc. Event collection
+// count. It re-reads the count under the exclusive lock, so racing
+// Subscribe/cancel pairs always converge on the state matching the surviving
+// registrations (whichever reconciliation runs last sees every completed
+// membership change). Event collection
 // and the per-commit seam fold are permanent (installed at engine creation),
 // so attaching a subscriber only flips eventsOn — and, when the seam went
 // cold through a checkpoint restore or a chunked migration, rebuilds it
@@ -1324,11 +1442,7 @@ func (ss *shardSet) syncEvents() {
 	ss.eventsOn = true
 }
 
-// Shards returns how many spatial shards the Engine runs (1 in the default
-// single-backend mode).
+// Shards returns how many spatial shards the Engine runs (1 by default).
 func (e *Engine) Shards() int {
-	if e.sh == nil {
-		return 1
-	}
 	return len(e.sh.shards)
 }
