@@ -321,13 +321,15 @@ func (ss *shardSet) checkpointPayload(log *wal.Log, wantDelta bool) (seq uint64,
 			clusters[g] = append(clusters[g], id)
 		}
 	}
+	ss.routesMu.Lock()
+	nextPt := ss.nextID
+	ss.routesMu.Unlock()
 	if ss.one {
 		b := []byte{ckptVersion, ckptSingle}
-		return seq, encodeCheckpointCommon(b, ss.cfg.Dims, ss.nextID, ss.shards[0].b.NextClusterID(), ids,
+		return seq, encodeCheckpointCommon(b, ss.cfg.Dims, nextPt, ss.shards[0].b.NextClusterID(), ids,
 			func(i int) Point { return coords[i] }, clusters), false
 	}
 	ss.routesMu.Lock()
-	nextPt := ss.nextID
 	stripeCells := ss.stripeCells
 	assign := make(map[int64]int32, len(ss.assign))
 	for st, sh := range ss.assign {

@@ -58,7 +58,9 @@ func (b *base) TakeDirtyUpdateCells() []grid.Coord {
 	for c := range b.dirtyUpd {
 		out = append(out, c)
 	}
-	clear(b.dirtyUpd)
+	// A fresh map, not clear: a cleared map keeps the buckets of its
+	// largest set (a bulk load), and ranging over it stays that slow.
+	b.dirtyUpd = make(map[grid.Coord]struct{})
 	return out
 }
 
