@@ -5,13 +5,14 @@ package dyndbscan
 //
 // One WAL record is written per commit — the batch's operations in commit
 // order, appended inside the same critical section that orders the commit
-// (under routesMu, while the shard locks are held). That makes the log's record order agree with
-// handle-mint order and with every shard's apply order, which is the whole
-// durability argument: the engines are deterministic functions of their op
-// streams (inserts re-mint identical handles, cluster identities evolve
-// identically), so replaying the records sequentially through the ordinary
-// Apply pipeline reconstructs the pre-crash state — same handles, same
-// stable ClusterIDs — even though the original commits ran concurrently.
+// (under routesMu, while the shard locks are held). That makes the log's
+// record order agree with handle-mint order and with every shard's apply
+// order, which is the whole durability argument: the engines are
+// deterministic functions of their op streams (inserts re-mint identical
+// handles, cluster identities evolve identically), so replaying the records
+// sequentially through the ordinary Apply pipeline reconstructs the
+// pre-crash state — same handles, same stable ClusterIDs — even though the
+// original commits ran concurrently.
 // Commits on disjoint shards commute, so any serialization the log captured
 // is equivalent to the concurrent execution it observed.
 //
