@@ -323,13 +323,6 @@ func (ss *shardSet) checkpointPayload(log *wal.Log, wantDelta bool) (seq uint64,
 	}
 	ss.routesMu.Lock()
 	nextPt := ss.nextID
-	ss.routesMu.Unlock()
-	if ss.one {
-		b := []byte{ckptVersion, ckptSingle}
-		return seq, encodeCheckpointCommon(b, ss.cfg.Dims, nextPt, ss.shards[0].b.NextClusterID(), ids,
-			func(i int) Point { return coords[i] }, clusters), false
-	}
-	ss.routesMu.Lock()
 	stripeCells := ss.stripeCells
 	assign := make(map[int64]int32, len(ss.assign))
 	for st, sh := range ss.assign {
@@ -341,6 +334,11 @@ func (ss *shardSet) checkpointPayload(log *wal.Log, wantDelta bool) (seq uint64,
 	}
 	ss.routesMu.Unlock()
 
+	if ss.one {
+		b := []byte{ckptVersion, ckptSingle}
+		return seq, encodeCheckpointCommon(b, ss.cfg.Dims, nextPt, ss.shards[0].b.NextClusterID(), ids,
+			func(i int) Point { return coords[i] }, clusters), false
+	}
 	b := []byte{ckptVersion, ckptSharded}
 	b = encodeCheckpointCommon(b, ss.cfg.Dims, nextPt, ss.nextGID, ids,
 		func(i int) Point { return coords[i] }, clusters)
